@@ -1,0 +1,76 @@
+"""Compare every method's final iterate and trace between two source trees.
+
+    python scripts/bitwise_check.py OLD_SRC NEW_SRC
+
+Each tree (a directory holding the ``blockstoch`` package) is imported in
+its own subprocess, which runs all methods on fixed seeds with ``MaxIters``
+and prints the raw bytes of the final iterates and the trace records
+``(k, objective, step_norm, tracker_error)``.  The script reports, per
+configuration and method, whether the two trees agree bit for bit, and
+exits 1 if any differ.  The configurations are the benchmark's svm-loop
+shape (planted 1000 x 20 SVM, 4 blocks, B = 1, schedule (0.51, 0.75, 5.0),
+at 1 and 2 workers) and a Box/L2Ball quadratic at batch 4.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+WORKER = r'''
+import json, sys
+import numpy as np
+from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, make_quadratic,
+                        make_separable_dataset, run, run_adam, run_averaged_sca,
+                        run_pegasos)
+
+def digest(x, trace):
+    rows = [(r.k, r.objective, r.step_norm, r.tracker_error) for r in trace]
+    return {"x": np.asarray(x).tobytes().hex(), "trace": repr(rows)}
+
+out = {}
+ds, _ = make_separable_dataset(1000, 20, seed=3)
+svm = SvmProblem.with_blocks(ds, 1e-2, 4)
+quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
+                      feasible_sets=[Box(-np.ones(3), np.ones(3)),
+                                     L2Ball(np.array([0.05, -0.02, 0.0]), 0.8)])
+for name, problem, schedule, batch in (
+        ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
+        ("quad-box-ball", quad, Schedule(), 4)):
+    inst = problem.instance()
+    for workers in (1, 2):
+        config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000,
+                           eval_every=100, seed=5, n_workers=workers)
+        tag = f"{name}/w{workers}"
+        out[f"{tag}/proposed"] = digest(*run(inst, config))
+        out[f"{tag}/adam"] = digest(*run_adam(inst, config))
+        out[f"{tag}/avg-sca"] = digest(*run_averaged_sca(inst, config, 0.8))
+        out[f"{tag}/avg-sca-pinned"] = digest(*run_averaged_sca(inst, config, 0.0))
+        if name == "svm-loop":
+            out[f"{tag}/pegasos"] = digest(*run_pegasos(problem, config))
+json.dump(out, sys.stdout)
+'''
+
+
+def results(src: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", WORKER], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (results(src) for src in argv)
+    differ = 0
+    for key in sorted(old.keys() | new.keys()):
+        same = old.get(key) == new.get(key)
+        differ += not same
+        print(f"{key}: {'bitwise equal' if same else 'DIFFERS'}")
+    print(f"{len(old.keys() | new.keys()) - differ} equal, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,11 +10,11 @@ from .core import (
     NumericalFailureError,
     ProblemInstance,
     RunConfig,
-    SolverState,
     StepNormBelow,
     TraceRecord,
     Unconstrained,
     UnsupportedOperationError,
+    drive,
     explicit_weights,
     minimize_surrogate,
     project,
@@ -42,6 +42,7 @@ from .baselines import (
     BaselineConfig,
     adam_step,
     averaging_weight,
+    check_rho_avg,
     pegasos_step,
     run_adam,
     run_averaged_sca,

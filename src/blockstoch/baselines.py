@@ -6,27 +6,28 @@ proximal update, but the reported point is a vanishing-weight running
 average -- a reference implementation of the averaging behavior, not of any
 specific published method in full generality).
 
-All run loops draw mini-batches through the problem's own sampling layer,
-so for a fixed seed and batch size every method here consumes the exact
-sample stream of :func:`blockstoch.core.run`.
+Each run is a start state plus a step for :func:`blockstoch.core.drive`,
+which draws every mini-batch, so for a fixed seed and batch size every
+method here consumes the exact sample stream of :func:`blockstoch.core.run`
+and honours the same termination rule.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import (
-    NumericalFailureError,
     ProblemInstance,
     RunConfig,
     TraceRecord,
     Unconstrained,
     Vector,
-    _make_record,
+    _check_finite,
+    block_step,
+    drive,
 )
 from .problems import SparseExample, SvmProblem
 
@@ -69,13 +70,20 @@ class BaselineConfig:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.lam is not None and not self.lam > 0:
             raise ValueError("lam must be positive")
-        if self.kind == "avg-sca" and self.rho_avg != 0.0:
-            rho_alpha = getattr(self.run.schedule, "alpha_exponent", None)
-            if rho_alpha is not None and not self.rho_avg > rho_alpha:
-                raise ValueError(
-                    f"rho_avg={self.rho_avg} must exceed the schedule's "
-                    f"alpha exponent {rho_alpha} (or be 0 to pin the weight)"
-                )
+        if self.kind == "avg-sca":
+            check_rho_avg(self.rho_avg, self.run.schedule)
+
+
+def check_rho_avg(rho_avg: float, schedule) -> None:
+    """Reject an averaging exponent that does not exceed the schedule's
+    alpha exponent (the weight must vanish faster than the step size);
+    0 pins the weight and is allowed."""
+    rho_alpha = getattr(schedule, "alpha_exponent", None)
+    if rho_avg != 0.0 and rho_alpha is not None and not rho_avg > rho_alpha:
+        raise ValueError(
+            f"rho_avg={rho_avg} must exceed the schedule's alpha exponent "
+            f"{rho_alpha} (or be 0 to pin the weight)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +91,8 @@ class BaselineConfig:
 # ---------------------------------------------------------------------------
 
 def pegasos_step(w, ex: SparseExample, lam: float, t: int) -> Vector:
-    """One Pegasos update with step size eta_t = 1/(lam t).
+    """One Pegasos update (Shalev-Shwartz et al., 2011) with step size
+    eta_t = 1/(lam t).
 
     w' = (1 - 1/t) w + eta_t y x when the example violates the margin
     (strict y<x,w> < 1, this method's convention), else the pure shrink.
@@ -103,7 +112,7 @@ def pegasos_step(w, ex: SparseExample, lam: float, t: int) -> Vector:
 
 def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
               project=None) -> tuple[Vector, Vector, Vector]:
-    """One bias-corrected Adam update; returns (w', m', v').
+    """One bias-corrected Adam update (Kingma & Ba, 2015); returns (w', m', v').
 
     A zero gradient with zero moments leaves w unchanged for every t.  When
     ``project`` is given the updated point is projected back onto the
@@ -134,17 +143,8 @@ def averaging_weight(k: int, rho_avg: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Full runs (shared sampling layer, shared trace cadence)
+# Full runs: a start state and a step for the shared driver
 # ---------------------------------------------------------------------------
-
-def _should_record(k: int, config: RunConfig) -> bool:
-    return k % config.eval_every == 0 or k == config.max_iters
-
-
-def _log_batch(sample_log, batch) -> None:
-    if sample_log is not None and len(sample_log) < 100:
-        sample_log.append(np.array(batch) if isinstance(batch, np.ndarray) else batch)
-
 
 def run_pegasos(problem: SvmProblem, config: RunConfig,
                 sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
@@ -157,19 +157,14 @@ def run_pegasos(problem: SvmProblem, config: RunConfig,
     """
     inst = problem.instance()
     w = inst.default_start()
-    rng = np.random.default_rng(config.seed)
-    trace: list[TraceRecord] = []
-    started_ns = time.perf_counter_ns()
-    for t in range(1, config.max_iters + 1):
-        batch = inst.draw_batch(rng, config.batch_size)
-        _log_batch(sample_log, batch)
-        token = int(np.atleast_1d(batch)[0])
-        w_prev = w
-        w = pegasos_step(w, problem.dataset.examples[token], problem.lam, t)
-        if _should_record(t, config):
-            step_norm = float(np.linalg.norm(w - w_prev))
-            trace.append(_make_record(inst, t, w, None, step_norm, started_ns))
-    return w, trace
+    examples = problem.dataset.examples
+
+    def step(batch, t, omega_t, alpha_t):
+        nonlocal w
+        w = pegasos_step(w, examples[int(np.atleast_1d(batch)[0])], problem.lam, t)
+        return w
+
+    return drive(inst, config, w, step, sample_log=sample_log)
 
 
 def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
@@ -178,70 +173,46 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     """Adam on the batch-mean stochastic gradient, projected when constrained."""
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     w = inst.default_start()
-    m = np.zeros(inst.dim)
-    v = np.zeros(inst.dim)
+    m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
     slices = inst.block_slices
     constrained = any(not isinstance(b.feasible_set, Unconstrained) for b in inst.blocks)
     project = inst.project if constrained else None
-    rng = np.random.default_rng(config.seed)
-    trace: list[TraceRecord] = []
-    started_ns = time.perf_counter_ns()
-    for t in range(1, config.max_iters + 1):
-        batch = inst.draw_batch(rng, config.batch_size)
-        _log_batch(sample_log, batch)
-        g = np.empty(inst.dim)
+
+    def step(batch, t, omega_t, alpha_t):
+        nonlocal w, m, v
         for l, sl in enumerate(slices):
             g[sl] = inst.mean_block_grad(batch, w, l)
-            if not np.all(np.isfinite(g[sl])):
-                raise NumericalFailureError(t, l, "sample gradient")
-        w_prev = w
         w, m, v = adam_step(w, g, m, v, t, params, project)
-        if _should_record(t, config):
-            step_norm = float(np.linalg.norm(w - w_prev))
-            trace.append(_make_record(inst, t, w, None, step_norm, started_ns))
-    return w, trace
+        _check_finite(t, slices, g, w)
+        return w
+
+    return drive(inst, config, w, step, sample_log=sample_log)
 
 
 def run_averaged_sca(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
                      rho_avg: float = 1.0,
                      sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
-    """The core block update plus vanishing-weight iterate averaging.
+    """The core block update plus vanishing-weight iterate averaging
+    (Polyak & Juditsky, 1992).
 
-    The inner iterate follows exactly the tracked proximal update; the
-    reported point is x_bar^k = (1 - rho_k) x_bar^{k-1} + rho_k x^k with
-    rho_k = k^-rho_avg (rho_1 = 1).  Trace metrics are evaluated at the
-    averaged point.  rho_avg = 0 pins rho_k = 1 and reproduces the core
-    iterate exactly.
+    The inner iterate is exactly the proposed method's; the reported point
+    is x_bar^k = (1 - rho_k) x_bar^{k-1} + rho_k x^k with rho_k = k^-rho_avg
+    (rho_1 = 1).  Trace metrics are evaluated at the averaged point.
+    rho_avg = 0 pins rho_k = 1 and reproduces the core iterate exactly.
     """
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
-    schedule = config.schedule
-    slices = inst.block_slices
-    x = inst.default_start()
-    x_avg = x.copy()
+    x_avg = inst.default_start()
     h = np.zeros(inst.dim)
-    rng = np.random.default_rng(config.seed)
-    trace: list[TraceRecord] = []
-    started_ns = time.perf_counter_ns()
-    for k in range(1, config.max_iters + 1):
-        omega_k = schedule.omega(k)
-        alpha_k = schedule.alpha(k)
-        batch = inst.draw_batch(rng, config.batch_size)
-        _log_batch(sample_log, batch)
-        x_prev = x
-        x = x_prev.copy()
-        for l, sl in enumerate(slices):
-            g = np.asarray(inst.mean_block_grad(batch, x_prev, l), dtype=np.float64)
-            if not np.all(np.isfinite(g)):
-                raise NumericalFailureError(k, l, "sample gradient")
-            h[sl] = (1.0 - omega_k) * h[sl] + omega_k * g
-            x[sl] = inst.blocks[l].feasible_set.project(x_prev[sl] - alpha_k * h[sl])
+    inner = block_step(inst, x_avg, h)
+
+    def step(batch, k, omega_k, alpha_k):
+        nonlocal x_avg
+        x = inner(batch, k, omega_k, alpha_k)
         rho_k = averaging_weight(k, rho_avg)
-        x_avg_prev = x_avg
         x_avg = (1.0 - rho_k) * x_avg + rho_k * x
-        if _should_record(k, config):
-            step_norm = float(np.linalg.norm(x_avg - x_avg_prev))
-            trace.append(_make_record(inst, k, x_avg, h, step_norm, started_ns))
-    return x_avg, trace
+        return x_avg
+
+    return drive(inst, config, x_avg, step, h, sample_log)
 
 
 def run_baseline(problem: Union[ProblemInstance, SvmProblem], cfg: BaselineConfig,

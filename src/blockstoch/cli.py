@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dataio
-from .baselines import AdamParams, run_adam, run_averaged_sca, run_pegasos
+from .baselines import AdamParams, check_rho_avg, run_adam, run_averaged_sca, run_pegasos
 from .core import MaxIters, ProblemInstance, RunConfig, StepNormBelow, run
 from .problems import (
     SvmProblem,
@@ -123,18 +123,24 @@ def _load_problem(args):
     return "svm", problem, extras
 
 
-def _load_test_set(args, train_features: int):
-    if args.test_data is None:
+def _load_test_set(args, kind: str, problem):
+    """The --test-data set, parsed once per invocation; None unless SVM."""
+    if args.test_data is None or kind != "svm":
         return None
     path = Path(args.test_data)
     if not path.is_file():
         raise UsageError(f"--test-data: no such file: {path}")
-    return dataio.load_libsvm(path, num_features=train_features,
+    return dataio.load_libsvm(path, num_features=problem.dataset.num_features,
                               remap_zero_one=args.remap_labels)
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, methods) -> RunConfig:
     schedule = Schedule(args.rho_omega, args.rho_alpha, args.alpha_scale)
+    if "avg-sca" in methods:
+        try:
+            check_rho_avg(args.rho_avg, schedule)
+        except ValueError as exc:
+            raise UsageError(f"--rho-avg: {exc}") from None
     termination = StepNormBelow(args.term_eps) if args.term_eps is not None else MaxIters()
     return RunConfig(
         schedule=schedule,
@@ -167,7 +173,7 @@ def _run_method(method: str, kind: str, problem, config: RunConfig, args, sample
 
 
 def _write_outputs(method: str, kind: str, problem, args, config, x, trace,
-                   cpu_seconds, wall_seconds, extras, outdir: Path, sample_log):
+                   cpu_seconds, wall_seconds, extras, outdir: Path, sample_log, test_set):
     if not args.trace_timing:
         trace = [replace(r, elapsed_ns=0) for r in trace]
     trace_path = outdir / f"{method}.trace.csv"
@@ -180,7 +186,6 @@ def _write_outputs(method: str, kind: str, problem, args, config, x, trace,
     train_acc = test_acc = ""
     if kind == "svm":
         train_acc = repr(svm_accuracy(x, problem.dataset))
-        test_set = _load_test_set(args, problem.dataset.num_features)
         if test_set is not None:
             test_acc = repr(svm_accuracy(x, test_set))
 
@@ -227,7 +232,8 @@ def _write_outputs(method: str, kind: str, problem, args, config, x, trace,
     }
 
 
-def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path):
+def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path,
+             test_set):
     sample_log = [] if args.log_sample_indices else None
     cpu0 = time.process_time()
     wall0 = time.perf_counter()
@@ -235,7 +241,7 @@ def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path
     cpu_seconds = time.process_time() - cpu0
     wall_seconds = time.perf_counter() - wall0
     summary = _write_outputs(method, kind, problem, args, config, x, trace,
-                             cpu_seconds, wall_seconds, extras, outdir, sample_log)
+                             cpu_seconds, wall_seconds, extras, outdir, sample_log, test_set)
     return summary, sample_log
 
 
@@ -245,10 +251,11 @@ def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path
 
 def cmd_run(args) -> int:
     kind, problem, extras = _load_problem(args)
-    config = _build_config(args)
+    config = _build_config(args, (args.method,))
+    test_set = _load_test_set(args, kind, problem)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _execute(args.method, kind, problem, args, config, extras, outdir)
+    _execute(args.method, kind, problem, args, config, extras, outdir, test_set)
     return 0
 
 
@@ -256,14 +263,16 @@ def cmd_compare(args) -> int:
     kind, problem, extras = _load_problem(args)
     if kind != "svm":
         raise UsageError("compare needs an SVM problem (--data): pegasos is SVM-only")
-    config = _build_config(args)
+    config = _build_config(args, METHODS)
+    test_set = _load_test_set(args, kind, problem)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     summaries = []
     logs = {}
     for method in METHODS:
-        summary, sample_log = _execute(method, kind, problem, args, config, extras, outdir)
+        summary, sample_log = _execute(method, kind, problem, args, config, extras, outdir,
+                                       test_set)
         summaries.append(summary)
         if sample_log is not None:
             logs[method] = [np.ravel(b).tolist() for b in sample_log]
@@ -342,16 +351,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     r.add_argument("--batch", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--eval-every", type=int, default=100)
-    r.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    r.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="threads for proposed's block updates (speed only)")
     r.add_argument("--term-eps", type=float, default=None,
-                   help="stop when step_norm/alpha_k falls below this")
+                   help="stop any method once step_norm/alpha_k is at most this")
 
     s = p.add_argument_group("method parameters")
     s.add_argument("--rho-omega", type=float, default=0.6)
     s.add_argument("--rho-alpha", type=float, default=0.9)
     s.add_argument("--alpha-scale", type=float, default=1.0)
     s.add_argument("--rho-avg", type=float, default=1.0,
-                   help="averaging exponent for avg-sca")
+                   help="avg-sca averaging exponent: above --rho-alpha, or 0")
     s.add_argument("--adam-lr", type=float, default=1e-3)
 
     o = p.add_argument_group("output")
@@ -398,10 +408,7 @@ def main(argv=None) -> int:
     args.raw_command = shlex.join(["blockstoch"] + argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScheduleError as exc:
+    except (UsageError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

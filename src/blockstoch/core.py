@@ -75,7 +75,8 @@ class Box:
     """Axis-aligned box {p : lower <= p <= upper}.
 
     Infinite bounds are accepted (a relaxation of compactness, like
-    Unconstrained); clamping handles them transparently.
+    Unconstrained); clamping handles them transparently.  NaN bounds are
+    rejected.
     """
 
     lower: Vector
@@ -86,6 +87,8 @@ class Box:
         hi = _as_vector(self.upper, "upper")
         if lo.size != hi.size:
             raise ValueError("lower and upper must have equal length")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box requires lower[i] <= upper[i] for all i")
         object.__setattr__(self, "lower", lo)
@@ -123,6 +126,8 @@ class L2Ball:
 
     def __post_init__(self):
         c = _as_vector(self.center, "center")
+        if not np.isfinite(c).all():
+            raise ValueError("center must be finite")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", c)
@@ -210,7 +215,6 @@ class ProblemInstance:
     sample_grad: Callable[[Any, Vector, int], Vector]
     sample_batch: Optional[Callable[[np.random.Generator, int], Any]] = None
     batch_grad: Optional[Callable[[Any, Vector, int], Vector]] = None
-    sample_value: Optional[Callable[[Any, Vector], float]] = None
     true_objective: Optional[Callable[[Vector], float]] = None
     true_gradient: Optional[Callable[[Vector], Vector]] = None
     x0: Optional[Vector] = None
@@ -315,16 +319,6 @@ class TraceRecord:
     elapsed_ns: int
 
 
-@dataclass
-class SolverState:
-    """Mutable state of one run: joint iterate, tracker, counter, RNG."""
-
-    x: Vector
-    h: Vector
-    k: int
-    rng: np.random.Generator
-
-
 @dataclass(frozen=True)
 class IterationInfo:
     """Read-only view handed to per-iteration callbacks.  The arrays are
@@ -410,8 +404,11 @@ def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Main loop
+# Iteration driver
 # ---------------------------------------------------------------------------
+
+Step = Callable[[Any, int, float, float], Vector]
+
 
 def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector],
                  step_norm: float, started_ns: int) -> TraceRecord:
@@ -431,94 +428,122 @@ def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector
     )
 
 
+def _check_finite(k: int, slices: tuple[slice, ...], g: Vector, x: Vector) -> None:
+    """Raise NumericalFailureError unless the joint gradient and iterate are
+    finite.  Only a failed check scans the blocks, in order and gradient
+    before iterate, to name the first failing one."""
+    if np.isfinite(g).all() and np.isfinite(x).all():
+        return
+    for l, sl in enumerate(slices):
+        if not np.isfinite(g[sl]).all():
+            raise NumericalFailureError(k, l, "sample gradient")
+        if not np.isfinite(x[sl]).all():
+            raise NumericalFailureError(k, l, "iterate")
+
+
+def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
+          h: Optional[Vector] = None, sample_log: Optional[list] = None,
+          iteration_callback: Optional[Callable[[IterationInfo], None]] = None,
+          ) -> tuple[Vector, list[TraceRecord]]:
+    """The iteration loop of every method; returns (final point, trace).
+
+    Iteration k draws the mini-batch from the stream seeded by
+    ``config.seed`` and calls ``step(batch, k, omega_k, alpha_k)``, which
+    advances the method's state and returns its reported point as a fresh
+    array (``x`` is the one before the first step).  Records are taken at
+    the reported point every ``eval_every`` iterations and at the last, with
+    the error of the live tracker ``h`` when given.  ``StepNormBelow`` stops
+    the run, recorded, once the reported step over alpha_k is at most eps.
+    ``sample_log`` collects the first 100 batches for sample-stream audits.
+    """
+    rng, schedule = np.random.default_rng(config.seed), config.schedule
+    term = config.termination
+    eps = term.eps if isinstance(term, StepNormBelow) else None
+    trace: list[TraceRecord] = []
+    started_ns = time.perf_counter_ns()
+    for k in range(1, config.max_iters + 1):
+        omega_k = schedule.omega(k)
+        alpha_k = schedule.alpha(k)
+        batch = problem.draw_batch(rng, config.batch_size)
+        if sample_log is not None and len(sample_log) < 100:
+            sample_log.append(np.array(batch) if isinstance(batch, np.ndarray) else batch)
+
+        x_prev = x
+        x = step(batch, k, omega_k, alpha_k)
+        if iteration_callback is not None:
+            iteration_callback(IterationInfo(k, omega_k, alpha_k, x, x_prev, h))
+
+        record = k % config.eval_every == 0 or k == config.max_iters
+        if record or eps is not None:
+            step_norm = float(np.linalg.norm(x - x_prev))
+            stopping = eps is not None and step_norm / alpha_k <= eps
+            if record or stopping:
+                trace.append(_make_record(problem, k, x, h, step_norm, started_ns))
+            if stopping:
+                break
+    return x, trace
+
+
+def block_step(problem: ProblemInstance, x: Vector, h: Vector,
+               pool: Optional[ThreadPoolExecutor] = None) -> Step:
+    """The proposed method's update, from x, as a step for :func:`drive`.
+
+    Every block folds the batch-mean sample gradient into its slice of the
+    tracker h (updated in place) and moves to project(x - alpha_k h) on its
+    own set.  Blocks read the previous iterate and write disjoint slices,
+    so running them on ``pool`` does not change the result.
+    """
+    slices = problem.block_slices
+    blocks = range(len(slices))
+    g = np.empty(problem.dim)
+
+    def step(batch, k: int, omega_k: float, alpha_k: float) -> Vector:
+        nonlocal x
+        x_prev, x_next = x, np.empty_like(x)
+
+        def update_block(l: int) -> None:
+            sl, spec = slices[l], problem.blocks[l]
+            g_l = np.asarray(problem.mean_block_grad(batch, x_prev, l), dtype=np.float64)
+            if g_l.shape != (spec.dim,):
+                raise ValueError(f"block {l} gradient has shape {g_l.shape}, "
+                                 f"expected ({spec.dim},)")
+            g[sl] = g_l
+            h[sl] = (1.0 - omega_k) * h[sl] + omega_k * g_l
+            x_next[sl] = spec.feasible_set.project(x_prev[sl] - alpha_k * h[sl])
+
+        if pool is None:
+            for l in blocks:
+                update_block(l)
+        else:
+            # list() forces completion and re-raises worker exceptions.
+            list(pool.map(update_block, blocks))
+        _check_finite(k, slices, g, x_next)
+        x = x_next
+        return x
+
+    return step
+
+
 def run(problem: ProblemInstance, config: RunConfig, x0=None,
         iteration_callback: Optional[Callable[[IterationInfo], None]] = None,
         sample_log: Optional[list] = None,
         ) -> tuple[Vector, list[TraceRecord]]:
     """Run the solver and return (final joint iterate, trace records).
 
-    Per iteration: the coordinator draws the mini-batch once, then every
-    block independently folds the batch-mean sample gradient into its
-    tracker and takes the projected proximal step.  With
-    ``config.n_workers > 1`` the block updates run on a thread pool;
-    results are identical for any worker count because blocks read shared
-    state and write disjoint slices.  Deterministic for a fixed seed.
-
-    An infeasible start is projected at entry.  ``sample_log``, when given,
-    collects the first 100 drawn batch tokens (for sample-stream audits).
+    The :func:`block_step` update under :func:`drive`, with the block
+    updates on a thread pool when ``config.n_workers > 1``; the result is
+    the same for any worker count and deterministic for a fixed seed.  An
+    infeasible start is projected at entry.
     """
-    slices = problem.block_slices
+    x = problem.default_start() if x0 is None else problem.project(x0)
+    h = np.zeros(problem.dim)
     n_blocks = len(problem.blocks)
-    dims = [b.dim for b in problem.blocks]
-
-    if x0 is not None:
-        x_start = problem.project(x0)
-    else:
-        x_start = problem.default_start()
-
-    state = SolverState(
-        x=x_start,
-        h=np.zeros(problem.dim),
-        k=0,
-        rng=np.random.default_rng(config.seed),
-    )
-    trace: list[TraceRecord] = []
-    started_ns = time.perf_counter_ns()
-    schedule = config.schedule
-    term = config.termination
-
     pool = None
     if config.n_workers > 1 and n_blocks > 1:
         pool = ThreadPoolExecutor(max_workers=min(config.n_workers, n_blocks))
     try:
-        for k in range(1, config.max_iters + 1):
-            omega_k = schedule.omega(k)
-            alpha_k = schedule.alpha(k)
-            batch = problem.draw_batch(state.rng, config.batch_size)
-            if sample_log is not None and len(sample_log) < 100:
-                sample_log.append(np.array(batch) if isinstance(batch, np.ndarray) else batch)
-
-            x_prev = state.x
-            x_next = x_prev.copy()
-            h = state.h
-
-            def update_block(l: int) -> None:
-                sl = slices[l]
-                g = np.asarray(problem.mean_block_grad(batch, x_prev, l), dtype=np.float64)
-                if g.shape != (dims[l],):
-                    raise ValueError(
-                        f"block {l} gradient has shape {g.shape}, expected ({dims[l]},)"
-                    )
-                if not np.all(np.isfinite(g)):
-                    raise NumericalFailureError(k, l, "sample gradient")
-                h[sl] = (1.0 - omega_k) * h[sl] + omega_k * g
-                x_next[sl] = problem.blocks[l].feasible_set.project(x_prev[sl] - alpha_k * h[sl])
-                if not np.all(np.isfinite(x_next[sl])):
-                    raise NumericalFailureError(k, l, "iterate")
-
-            if pool is None:
-                for l in range(n_blocks):
-                    update_block(l)
-            else:
-                # list() forces completion and re-raises worker exceptions.
-                list(pool.map(update_block, range(n_blocks)))
-
-            step_norm = float(np.linalg.norm(x_next - x_prev))
-            state.x = x_next
-            state.k = k
-
-            if iteration_callback is not None:
-                iteration_callback(IterationInfo(
-                    k=k, omega=omega_k, alpha=alpha_k, x=x_next, x_prev=x_prev, h=h,
-                ))
-
-            stopping = isinstance(term, StepNormBelow) and step_norm / alpha_k <= term.eps
-            if k % config.eval_every == 0 or k == config.max_iters or stopping:
-                trace.append(_make_record(problem, k, x_next, h, step_norm, started_ns))
-            if stopping:
-                break
+        return drive(problem, config, x, block_step(problem, x, h, pool), h,
+                     sample_log, iteration_callback)
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
-
-    return state.x, trace

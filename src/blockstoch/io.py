@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -40,10 +41,10 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     """Parse LIBSVM-format lines ``<label> <idx>:<val> ...`` into a dataset.
 
     File indices are 1-based and strictly increasing per line; they come
-    back 0-based.  Blank lines are skipped, malformed tokens fail hard with
-    the line number and column, and explicit zero values are dropped (the
-    sparse representation never stores them).  The feature count is the
-    given override or the largest index seen.
+    back 0-based.  Blank lines are skipped, malformed tokens and NaN or
+    infinite values fail hard with the line number and column, and explicit
+    zero values are dropped (the sparse representation never stores them).
+    The feature count is the given override or the largest index seen.
     """
     examples = []
     max_index = -1
@@ -57,9 +58,11 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
         indices: list[int] = []
         values: list[float] = []
         previous = 0
+        offset = raw.find(tokens[0]) + len(tokens[0])
         for token in tokens[1:]:
-            column = raw.find(token) + 1
-            where = f"token {token!r} (column {column})"
+            offset = raw.find(token, offset)
+            where = f"token {token!r} (column {offset + 1})"
+            offset += len(token)
             idx_text, sep, val_text = token.partition(":")
             if not sep:
                 raise ParseError(line_no, f"{where}: expected <index>:<value>")
@@ -71,6 +74,8 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
                 val = float(val_text)
             except ValueError:
                 raise ParseError(line_no, f"{where}: bad value") from None
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"{where}: value is not finite")
             if idx < 1:
                 raise ParseError(line_no, f"{where}: indices are 1-based")
             if idx <= previous:

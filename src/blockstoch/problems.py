@@ -195,12 +195,6 @@ class SvmProblem:
         def batch_grad(batch, x, l):
             return self._block_grad([int(i) for i in np.atleast_1d(batch)], x, l)
 
-        def sample_value(token, x):
-            ex = ds.examples[int(token)]
-            x = np.asarray(x, dtype=np.float64)
-            margin = ex.label * float(ex.values @ x[ex.indices])
-            return 0.5 * lam * float(x @ x) + max(0.0, 1.0 - margin)
-
         blocks = tuple(BlockSpec(b - a, Unconstrained(b - a)) for a, b in ranges)
         return ProblemInstance(
             blocks=blocks,
@@ -208,7 +202,6 @@ class SvmProblem:
             sample_grad=sample_grad,
             sample_batch=sample_batch,
             batch_grad=batch_grad,
-            sample_value=sample_value,
             true_objective=lambda x: svm_objective(x, ds, lam),
             true_gradient=lambda x: svm_true_gradient(x, ds, lam),
             x0=np.ones(ds.num_features),
@@ -349,17 +342,12 @@ class QuadraticProblem:
             sl = slices[l]
             return c[sl] * (np.asarray(x)[sl] - np.asarray(z_batch)[:, sl].mean(axis=0))
 
-        def sample_value(z, x):
-            offsets = np.asarray(x, dtype=np.float64) - np.asarray(z, dtype=np.float64)
-            return 0.5 * float(c @ (offsets * offsets))
-
         return ProblemInstance(
             blocks=self.blocks,
             sample_draw=sample_draw,
             sample_grad=sample_grad,
             sample_batch=sample_batch,
             batch_grad=batch_grad,
-            sample_value=sample_value,
             true_objective=self.objective,
             true_gradient=self.gradient,
         )
@@ -418,16 +406,12 @@ def make_nonconvex_toy(noise_stddev: float = 1.0) -> ProblemInstance:
     def batch_grad(z_batch, x, l):
         return true_gradient(x) + np.asarray(z_batch).mean(axis=0)
 
-    def sample_value(z, x):
-        return true_objective(x) + float(np.asarray(z) @ np.asarray(x))
-
     return ProblemInstance(
         blocks=(BlockSpec(2, box),),
         sample_draw=sample_draw,
         sample_grad=sample_grad,
         sample_batch=sample_batch,
         batch_grad=batch_grad,
-        sample_value=sample_value,
         true_objective=true_objective,
         true_gradient=true_gradient,
     )

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from blockstoch.cli import main
+import blockstoch.io
+from blockstoch.cli import METHODS, main
 from blockstoch.io import read_manifest, read_trace, load_libsvm
 from blockstoch import make_quadratic
 
@@ -168,6 +169,37 @@ class TestRun:
         assert timed_trace[-1].elapsed_ns > 0
 
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_term_eps_stops_every_method(self, svm_file, tmp_path, method):
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", method, "--data", str(svm_file),
+                       "--iters", "500", "--eval-every", "100", "--term-eps", "1e9",
+                       "--outdir", str(outdir))
+        assert code == 0
+        trace = read_trace(outdir / f"{method}.trace.csv")
+        assert [r.k for r in trace] == [1]
+        manifest = read_manifest(outdir / f"{method}.manifest.txt")
+        assert manifest["iters"] == "500"
+        assert manifest["term_eps"] == "1000000000.0"
+        assert manifest["final_objective"] == repr(trace[-1].objective)
+
+    def test_rho_avg_must_exceed_rho_alpha(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", "avg-sca", "--synthetic", "quad-d4",
+                       "--rho-avg", "0.5", "--rho-alpha", "0.9", "--outdir", str(outdir))
+        assert code == 2
+        assert "--rho-avg" in capsys.readouterr().err
+        assert not outdir.exists()
+        # Only avg-sca averages; the other methods ignore the exponent.
+        code = run_cli("run", "--method", "adam", "--synthetic", "quad-d4", "--iters", "10",
+                       "--eval-every", "10", "--rho-avg", "0.5", "--outdir", str(outdir))
+        assert code == 0
+        # rho_avg = 0 pins the averaging weight.
+        code = run_cli("run", "--method", "avg-sca", "--synthetic", "quad-d4", "--iters", "10",
+                       "--eval-every", "10", "--rho-avg", "0", "--outdir", str(outdir))
+        assert code == 0
+
+
 class TestCompare:
     def test_zero_iterations_yields_header_only_traces(self, svm_file, tmp_path):
         outdir = tmp_path / "cmp"
@@ -191,6 +223,32 @@ class TestCompare:
                     for m in ("proposed", "pegasos", "adam", "avg-sca")}
         assert len(set(contents.values())) == 1
         assert len(contents["proposed"].splitlines()) == 100
+
+    def test_rho_avg_checked_before_any_method_runs(self, svm_file, tmp_path, capsys):
+        outdir = tmp_path / "cmp"
+        code = run_cli("compare", "--data", str(svm_file), "--iters", "20",
+                       "--eval-every", "10", "--rho-alpha", "0.75", "--rho-avg", "0.75",
+                       "--outdir", str(outdir))
+        assert code == 2
+        assert "--rho-avg" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_test_data_parsed_once(self, svm_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load(*args, **kwargs):
+            calls.append(args[0])
+            return load_libsvm(*args, **kwargs)
+
+        monkeypatch.setattr(blockstoch.io, "load_libsvm", counting_load)
+        outdir = tmp_path / "cmp"
+        code = run_cli("compare", "--data", str(svm_file), "--test-data", str(svm_file),
+                       "--iters", "20", "--eval-every", "10", "--outdir", str(outdir))
+        assert code == 0
+        assert len(calls) == 2  # the training file and the test file, once each
+        for method in METHODS:
+            manifest = read_manifest(outdir / f"{method}.manifest.txt")
+            assert manifest["test_accuracy"] == manifest["train_accuracy"]
 
     def test_compare_needs_svm(self, tmp_path, capsys):
         code = run_cli("compare", "--synthetic", "quad-d4",

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import itertools
+from dataclasses import replace
+
 from blockstoch import (
     BlockSpec,
     Box,
@@ -10,14 +13,20 @@ from blockstoch import (
     NumericalFailureError,
     ProblemInstance,
     RunConfig,
+    Schedule,
     StepNormBelow,
+    SvmProblem,
     Unconstrained,
     UnsupportedOperationError,
     explicit_weights,
     make_quadratic,
+    make_separable_dataset,
     minimize_surrogate,
     project,
     run,
+    run_adam,
+    run_averaged_sca,
+    run_pegasos,
     stationarity_residual,
     update_tracker,
 )
@@ -160,6 +169,19 @@ class TestProject:
     def test_box_with_infinite_bounds(self):
         half = Box([1.0, 1.0], [np.inf, np.inf])
         np.testing.assert_array_equal(project(half, [0.0, 5.0]), [1.0, 5.0])
+        whole = Box([-np.inf], [np.inf])
+        np.testing.assert_array_equal(project(whole, [5.0]), [5.0])
+
+    def test_box_rejects_nan_bounds(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Box([np.nan], [1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            Box([0.0, 0.0], [1.0, np.nan])
+
+    def test_ball_rejects_non_finite_center(self):
+        for center in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="center"):
+                L2Ball(center, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +450,89 @@ class TestRun:
         tail = sorted(errors[-4:])
         assert tail[len(tail) // 2] <= 1e-2
         assert np.median(errors[-4:]) < np.median(errors[:4])
+
+
+# ---------------------------------------------------------------------------
+# The shared driver: one stop rule, one failure report for every method
+# ---------------------------------------------------------------------------
+
+class OverflowingSet:
+    """A one-dimensional 'set' whose projection overflows any non-zero point."""
+
+    dim = 1
+
+    def project(self, p):
+        with np.errstate(over="ignore"):
+            return np.asarray(p, dtype=np.float64) * 1e308 * 1e308
+
+    def centroid(self):
+        return np.zeros(1)
+
+
+def poisoned_problem(sets, late_grads):
+    """Two 1-D blocks starting at 0.  Block l's sample gradient is 0 for the
+    first two draws and late_grads[l] from the third draw on."""
+    draws = itertools.count(1)
+
+    def sample_grad(token, x, l):
+        return np.array([late_grads[l] if token >= 3 else 0.0])
+
+    return ProblemInstance(
+        blocks=tuple(BlockSpec(1, OverflowingSet() if s == "overflow" else Unconstrained(1))
+                     for s in sets),
+        sample_draw=lambda rng: next(draws),
+        sample_grad=sample_grad,
+    )
+
+
+def every_method(problem: SvmProblem):
+    """Method name -> callable(config) on the given SVM problem."""
+    inst = problem.instance()
+    return {
+        "proposed": lambda c: run(inst, c),
+        "pegasos": lambda c: run_pegasos(problem, c),
+        "adam": lambda c: run_adam(inst, c),
+        "avg-sca": lambda c: run_averaged_sca(inst, c, rho_avg=0.8),
+    }
+
+
+class TestDriver:
+    def test_step_norm_below_stops_every_method_at_first_small_step(self):
+        ds, _ = make_separable_dataset(60, 6, seed=4)
+        schedule = Schedule(0.51, 0.75, 5.0)
+        full = RunConfig(schedule=schedule, max_iters=300, eval_every=1, seed=9)
+        for name, method in every_method(SvmProblem.with_blocks(ds, 1e-2, 2)).items():
+            _, every_step = method(full)
+            ratios = [r.step_norm / schedule.alpha(r.k) for r in every_step]
+            eps = min(ratios[:150])
+            first = next(k for k, ratio in enumerate(ratios, 1) if ratio <= eps)
+            x, trace = method(replace(full, eval_every=50, termination=StepNormBelow(eps)))
+            assert [r.k for r in trace] == [k for k in range(50, first, 50)] + [first], name
+            assert records_without_time(trace[-1:]) == \
+                records_without_time(every_step[first - 1:first]), name
+            x_first, _ = method(replace(full, max_iters=first, eval_every=first))
+            np.testing.assert_array_equal(x, x_first)
+
+    @pytest.mark.parametrize("sets, late_grads, block, what", [
+        (("flat", "flat"), (1.0, np.nan), 1, "sample gradient"),
+        (("flat", "overflow"), (1.0, 1.0), 1, "iterate"),
+        # Block 0's iterate comes before block 1's gradient in the scan.
+        (("overflow", "flat"), (1.0, np.nan), 0, "iterate"),
+    ])
+    def test_numerical_failure_is_reported_alike_by_every_method(
+            self, sets, late_grads, block, what):
+        config = RunConfig(max_iters=10, eval_every=1, seed=0)
+        methods = {
+            "proposed": lambda inst: run(inst, config),
+            "proposed, 2 workers": lambda inst: run(inst, replace(config, n_workers=2)),
+            "adam": lambda inst: run_adam(inst, config),
+            "avg-sca": lambda inst: run_averaged_sca(inst, config),
+        }
+        for name, method in methods.items():
+            with pytest.raises(NumericalFailureError) as info:
+                method(poisoned_problem(sets, late_grads))
+            assert (info.value.k, info.value.block) == (3, block), name
+            assert str(info.value) == f"non-finite {what} at iteration 3, block {block}", name
 
 
 class TestRunConfigValidation:

@@ -78,6 +78,26 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="strictly increasing"):
             parse_libsvm(["1 3:1.0 3:2.0"])
 
+    def test_repeated_token_reports_its_own_column(self):
+        with pytest.raises(ParseError, match=r"\(column 8\): indices must be strictly"):
+            parse_libsvm(["+1 1:1 1:1"])
+        # "1:1" also occurs inside the earlier "11:1".
+        with pytest.raises(ParseError, match=r"'1:1' \(column 9\)"):
+            parse_libsvm(["+1 11:1 1:1"])
+
+    @pytest.mark.parametrize("line, token, column", [
+        ("+1 1:nan", "1:nan", 4),
+        ("+1 1:inf 2:-inf", "1:inf", 4),
+        ("+1 1:1 2:-inf", "2:-inf", 8),
+        ("-1 3:NaN", "3:NaN", 4),
+        ("-1 1:2 4:1e999", "4:1e999", 8),
+    ])
+    def test_non_finite_values_rejected_with_location(self, line, token, column):
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(["+1 1:0.5", line])
+        assert info.value.line_no == 2
+        assert f"{token!r} (column {column}): value is not finite" in str(info.value)
+
     def test_label_rules(self):
         assert parse_libsvm(["1 1:1"]).examples[0].label == 1
         assert parse_libsvm(["-1.0 1:1"]).examples[0].label == -1

@@ -212,14 +212,6 @@ class TestSvmProblem:
         inst = SvmProblem.with_blocks(ds, 0.1, 2).instance()
         np.testing.assert_array_equal(inst.default_start(), np.ones(6))
 
-    def test_sample_value_matches_objective_mean(self):
-        rng = np.random.default_rng(8)
-        ds = random_dataset(rng, m=20, n=7)
-        inst = SvmProblem.with_blocks(ds, 0.2, 1).instance()
-        w = rng.standard_normal(7)
-        mean_value = np.mean([inst.sample_value(i, w) for i in range(20)])
-        assert mean_value == pytest.approx(svm_objective(w, ds, 0.2), rel=1e-12)
-
 
 # ---------------------------------------------------------------------------
 # Quadratic
@@ -311,8 +303,6 @@ class TestNonconvexToy:
         x = np.array([0.3, -0.7])
         np.testing.assert_allclose(inst.sample_grad(z, x, 0),
                                    inst.true_gradient(x) + z)
-        assert inst.sample_value(z, x) == pytest.approx(
-            inst.true_objective(x) + float(z @ x))
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,13 @@ class TestScheduleValues:
             s.alpha(0)
 
     def test_sequences_match_pointwise(self):
-        s = Schedule(0.7, 0.95, 0.5, omega_offset=3, alpha_offset=1)
-        om = s.omega_sequence(50)
-        al = s.alpha_sequence(50)
-        scalar_om = [s.omega(k) for k in range(1, 51)]
-        scalar_al = [s.alpha(k) for k in range(1, 51)]
-        np.testing.assert_allclose(om, scalar_om, rtol=1e-15)
-        np.testing.assert_allclose(al, scalar_al, rtol=1e-15)
+        n = 10 ** 5
+        for s in (Schedule(), Schedule(0.51, 0.75, 5.0),
+                  Schedule(0.7, 0.95, 0.5, omega_offset=3, alpha_offset=1)):
+            scalar_om = np.array([s.omega(k) for k in range(1, n + 1)])
+            scalar_al = np.array([s.alpha(k) for k in range(1, n + 1)])
+            np.testing.assert_array_equal(s.omega_sequence(n), scalar_om)
+            np.testing.assert_array_equal(s.alpha_sequence(n), scalar_al)
 
 
 class TestScheduleValidation:
