@@ -7,9 +7,13 @@ its own subprocess, which runs all methods on fixed seeds with ``MaxIters``
 and prints the raw bytes of the final iterates and the trace records
 ``(k, objective, step_norm, tracker_error)``.  The script reports, per
 configuration and method, whether the two trees agree bit for bit, and
-exits 1 if any differ.  The configurations are the benchmark's svm-loop
-shape (planted 1000 x 20 SVM, 4 blocks, B = 1, schedule (0.51, 0.75, 5.0),
-at 1 and 2 workers) and a Box/L2Ball quadratic at batch 4.
+exits 1 if any differ.  The configurations, each at 1 and 2 workers, are
+the benchmark's svm-loop shape (planted 1000 x 20 SVM, 4 blocks, B = 1,
+schedule (0.51, 0.75, 5.0)), a Box/L2Ball quadratic at batch 4, and a
+parsed-sparse SVM at batch 4 in 2 blocks: a fixed LIBSVM corpus with rows
+of varying length, empty rows and explicit ``k:0`` tokens, which the
+worker writes, reads back with ``load_libsvm`` and halves with
+``subsample``, so the parser's and the subsampler's output is compared too.
 """
 
 import json
@@ -18,11 +22,13 @@ import subprocess
 import sys
 
 WORKER = r'''
-import json, sys
+import json, sys, tempfile
+from pathlib import Path
 import numpy as np
 from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, make_quadratic,
                         make_separable_dataset, run, run_adam, run_averaged_sca,
                         run_pegasos)
+from blockstoch.io import load_libsvm, subsample
 
 def digest(x, trace):
     rows = [(r.k, r.objective, r.step_norm, r.tracker_error) for r in trace]
@@ -34,9 +40,23 @@ svm = SvmProblem.with_blocks(ds, 1e-2, 4)
 quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
                       feasible_sets=[Box(-np.ones(3), np.ones(3)),
                                      L2Ball(np.array([0.05, -0.02, 0.0]), 0.8)])
+rng = np.random.default_rng(11)
+lines = []
+for row in range(400):
+    cols = np.sort(rng.choice(30, size=int(rng.integers(0, 9)), replace=False)) + 1
+    vals = rng.standard_normal(cols.size)
+    if row % 5 == 0 and cols.size:
+        vals[0] = 0.0  # a k:0 token, which the parser drops
+    lines.append(" ".join(["+1" if rng.random() < 0.5 else "-1"]
+                          + [f"{c}:{float(v)!r}" for c, v in zip(cols, vals)]))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "corpus.libsvm"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parsed = SvmProblem.with_blocks(subsample(load_libsvm(path), 0.5, 4), 1e-2, 2)
 for name, problem, schedule, batch in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
-        ("quad-box-ball", quad, Schedule(), 4)):
+        ("quad-box-ball", quad, Schedule(), 4),
+        ("parsed-sparse", parsed, Schedule(), 4)):
     inst = problem.instance()
     for workers in (1, 2):
         config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000,
@@ -46,7 +66,7 @@ for name, problem, schedule, batch in (
         out[f"{tag}/adam"] = digest(*run_adam(inst, config))
         out[f"{tag}/avg-sca"] = digest(*run_averaged_sca(inst, config, 0.8))
         out[f"{tag}/avg-sca-pinned"] = digest(*run_averaged_sca(inst, config, 0.0))
-        if name == "svm-loop":
+        if isinstance(problem, SvmProblem):
             out[f"{tag}/pegasos"] = digest(*run_pegasos(problem, config))
 json.dump(out, sys.stdout)
 '''

@@ -157,11 +157,11 @@ def run_pegasos(problem: SvmProblem, config: RunConfig,
     """
     inst = problem.instance()
     w = inst.default_start()
-    examples = problem.dataset.examples
+    example = problem.dataset.example
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w
-        w = pegasos_step(w, examples[int(np.atleast_1d(batch)[0])], problem.lam, t)
+        w = pegasos_step(w, example(int(np.atleast_1d(batch)[0])), problem.lam, t)
         return w
 
     return drive(inst, config, w, step, sample_log=sample_log)

@@ -101,6 +101,11 @@ def _load_problem(args):
     if (args.data is None) == (args.synthetic is None):
         raise UsageError("exactly one of --data and --synthetic is required")
     if args.data is None:
+        for flag, value in (("--test-data", args.test_data), ("--subsample", args.subsample),
+                            ("--features", args.features), ("--lambda", args.lam),
+                            ("--remap-labels", args.remap_labels)):
+            if value is not None and value is not False:
+                raise UsageError(f"{flag} applies to --data only, not to --synthetic")
         instance, extras = _parse_synthetic(args)
         return "synthetic", instance, extras
     path = Path(args.data)
@@ -123,9 +128,9 @@ def _load_problem(args):
     return "svm", problem, extras
 
 
-def _load_test_set(args, kind: str, problem):
-    """The --test-data set, parsed once per invocation; None unless SVM."""
-    if args.test_data is None or kind != "svm":
+def _load_test_set(args, problem):
+    """The --test-data set, parsed once per invocation, or None."""
+    if args.test_data is None:
         return None
     path = Path(args.test_data)
     if not path.is_file():
@@ -252,7 +257,7 @@ def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path
 def cmd_run(args) -> int:
     kind, problem, extras = _load_problem(args)
     config = _build_config(args, (args.method,))
-    test_set = _load_test_set(args, kind, problem)
+    test_set = _load_test_set(args, problem)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _execute(args.method, kind, problem, args, config, extras, outdir, test_set)
@@ -264,7 +269,7 @@ def cmd_compare(args) -> int:
     if kind != "svm":
         raise UsageError("compare needs an SVM problem (--data): pegasos is SVM-only")
     config = _build_config(args, METHODS)
-    test_set = _load_test_set(args, kind, problem)
+    test_set = _load_test_set(args, problem)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -351,7 +356,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     r.add_argument("--batch", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--eval-every", type=int, default=100)
-    r.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    r.add_argument("--workers", type=int, default=1,
                    help="threads for proposed's block updates (speed only)")
     r.add_argument("--term-eps", type=float, default=None,
                    help="stop any method once step_norm/alpha_k is at most this")

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .core import TraceRecord
-from .problems import SparseExample, SvmDataset
+from .problems import SvmDataset
 
 
 class ParseError(ValueError):
@@ -46,17 +46,14 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     zero values are dropped (the sparse representation never stores them).
     The feature count is the given override or the largest index seen.
     """
-    examples = []
-    max_index = -1
+    indptr, indices, values, labels = [0], [], [], []
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         tokens = line.split()
-        label = _parse_label(tokens[0], line_no, remap_zero_one)
-        indices: list[int] = []
-        values: list[float] = []
+        labels.append(_parse_label(tokens[0], line_no, remap_zero_one))
         previous = 0
         offset = raw.find(tokens[0]) + len(tokens[0])
         for token in tokens[1:]:
@@ -84,24 +81,16 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)
-        if indices:
-            max_index = max(max_index, indices[-1])
-        examples.append(SparseExample(
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
-            label,
-        ))
-    if not examples:
+        indptr.append(len(indices))
+    if not labels:
         raise ParseError(line_no, "no examples in input")
-    if num_features is not None:
-        n = int(num_features)
-        if max_index >= n:
-            raise ParseError(0, f"feature index {max_index + 1} exceeds --features {n}")
-    else:
-        if max_index < 0:
-            raise ParseError(0, "cannot infer feature count from all-empty examples")
-        n = max_index + 1
-    return SvmDataset(examples, n, name)
+    max_index = max(indices, default=-1)
+    if num_features is None and max_index < 0:
+        raise ParseError(0, "cannot infer feature count from all-empty examples")
+    n = max_index + 1 if num_features is None else int(num_features)
+    if max_index >= n:
+        raise ParseError(0, f"feature index {max_index + 1} exceeds --features {n}")
+    return SvmDataset(indptr, indices, values, labels, n, name)
 
 
 def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = None,
@@ -122,10 +111,10 @@ def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = 
 
 def libsvm_lines(ds: SvmDataset) -> Iterator[str]:
     """Serialize a dataset back to LIBSVM lines (1-based indices)."""
-    for ex in ds.examples:
-        parts = [f"{ex.label:+d}"]
-        parts.extend(f"{i + 1}:{float(v)!r}" for i, v in zip(ex.indices, ex.values))
-        yield " ".join(parts)
+    for i in range(ds.m):
+        indices, values, label = ds.example(i)
+        pairs = zip(indices.tolist(), values.tolist())
+        yield " ".join([f"{label:+.0f}"] + [f"{j + 1}:{v!r}" for j, v in pairs])
 
 
 def write_libsvm(ds: SvmDataset, path) -> None:
@@ -140,14 +129,14 @@ def subsample(ds: SvmDataset, fraction: float, seed: int) -> SvmDataset:
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return SvmDataset(list(ds.examples), ds.num_features, ds.name)
-    keep = int(len(ds.examples) * fraction)
+    keep = int(ds.m * fraction)
     if keep == 0:
-        raise ValueError(f"fraction {fraction} of {len(ds.examples)} examples is empty")
+        raise ValueError(f"fraction {fraction} of {ds.m} examples is empty")
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(len(ds.examples), size=keep, replace=False))
-    return SvmDataset([ds.examples[i] for i in chosen], ds.num_features, ds.name)
+    rows = np.sort(rng.choice(ds.m, size=keep, replace=False))
+    sub = ds.matrix[rows]
+    return SvmDataset(sub.indptr, sub.indices, sub.data, ds.labels[rows], ds.num_features,
+                      ds.name)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -33,74 +33,78 @@ def even_partition(n: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
 # Sparse SVM data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SparseExample:
-    """One training example: sparse feature vector plus a +/-1 label."""
+class SparseExample(NamedTuple):
+    """One row of an :class:`SvmDataset`: views into its arrays, and its label."""
 
     indices: np.ndarray
     values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
-            raise ValueError("indices and values must be 1-D and equally long")
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-            raise ValueError("indices must be non-negative and strictly increasing")
-        if np.any(val == 0.0):
-            raise ValueError("explicit zero values are not stored")
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        object.__setattr__(self, "label", int(self.label))
+    label: float
 
 
 @dataclass(eq=False)
 class SvmDataset:
-    examples: list[SparseExample]
+    """Examples as CSR arrays: row i stores the features ``indices[indptr[i]:
+    indptr[i + 1]]`` (0-based, strictly increasing, below ``num_features``)
+    with finite non-zero ``values`` there, and has the label ``labels[i]``, -1 or +1."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
     num_features: int
     name: str = ""
 
     def __post_init__(self):
-        if not self.examples:
+        self.indptr = indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = idx = np.asarray(self.indices, dtype=np.int64)
+        self.values = val = np.asarray(self.values, dtype=np.float64)
+        self.labels = labels = np.asarray(self.labels, dtype=np.float64)
+        if labels.ndim != 1 or labels.size == 0:
             raise ValueError("dataset must contain at least one example")
         if self.num_features < 1:
             raise ValueError("num_features must be positive")
-        for i, ex in enumerate(self.examples):
-            if ex.indices.size and ex.indices[-1] >= self.num_features:
-                raise ValueError(
-                    f"example {i} uses feature {ex.indices[-1]}, "
-                    f"but num_features={self.num_features}"
-                )
+        if idx.ndim != 1 or val.shape != idx.shape or indptr.shape != (labels.size + 1,):
+            raise ValueError("need m + 1 indptr entries and equally long 1-D indices, values")
+
+        def reject(bad, rule, shown=None, per_row=False):
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                row = hits[0] if per_row else np.searchsorted(indptr, hits[0], "right") - 1
+                detail = "" if shown is None else f" ({shown[hits[0]]})"
+                raise ValueError(f"row {row}: {rule}{detail}")
+
+        bad = (indptr[:-1] > indptr[1:]) | (indptr[1:] > idx.size)
+        bad[0] |= indptr[0] != 0
+        bad[-1] |= indptr[-1] != idx.size
+        reject(bad, f"indptr does not delimit the {idx.size} entries", per_row=True)
+        reject(np.abs(labels) != 1.0, "label is not -1 or +1", labels, per_row=True)
+        reject((idx < 0) | (idx >= self.num_features),
+               f"feature index outside [0, {self.num_features})", idx)
+        falls = np.diff(idx, prepend=-1) <= 0
+        falls[indptr[:-1][indptr[:-1] < idx.size]] = False
+        reject(falls, "indices are not strictly increasing", idx)
+        reject(~np.isfinite(val), "value is not finite", val)
+        reject(val == 0.0, "stored zero value")
 
     @property
     def m(self) -> int:
-        return len(self.examples)
+        return self.labels.size
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.float64)
+    def example(self, i: int) -> SparseExample:
+        a, b = self.indptr[i:i + 2].tolist()
+        return SparseExample(self.indices[a:b], self.values[a:b], self.labels.item(i))
 
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
-        indptr = np.zeros(self.m + 1, dtype=np.int64)
-        for i, ex in enumerate(self.examples):
-            indptr[i + 1] = indptr[i] + ex.indices.size
-        if indptr[-1]:
-            indices = np.concatenate([ex.indices for ex in self.examples])
-            values = np.concatenate([ex.values for ex in self.examples])
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-            values = np.zeros(0, dtype=np.float64)
-        return sparse.csr_matrix(
-            (values, indices, indptr), shape=(self.m, self.num_features)
-        )
+        """The arrays as a scipy CSR matrix that shares their memory (the
+        constructor would copy int64 index arrays whose values fit int32)."""
+        out = sparse.csr_matrix((self.m, self.num_features))
+        out.data, out.indices, out.indptr = self.values, self.indices, self.indptr
+        return out
 
     @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz)
+        return self.values.size
 
     def sparsity_percent(self) -> float:
         """Share of stored entries, in percent of the full m*n grid."""
@@ -182,6 +186,22 @@ class SvmProblem:
         lam = self.lam
         ranges = self.block_ranges
         m = ds.m
+        # memoryview indexing yields Python scalars, several times faster than numpy's.
+        bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
+
+        def block_grad(tokens: Sequence[int], x, l: int) -> Vector:
+            start, stop = ranges[l]
+            x = np.asarray(x, dtype=np.float64)
+            g = lam * x[start:stop]
+            for i in tokens:
+                a, b, y = bounds[i], bounds[i + 1], labels[i]
+                indices, values = ds.indices[a:b], ds.values[a:b]
+                margin = y * float(values @ x[indices])
+                if margin <= 1.0:
+                    # A row's indices increase, so its entries in the block are a run.
+                    lo, hi = indices.searchsorted((start, stop)).tolist()
+                    g[indices[lo:hi] - start] -= (y / len(tokens)) * values[lo:hi]
+            return g
 
         def sample_draw(rng):
             return int(rng.integers(0, m))
@@ -190,10 +210,10 @@ class SvmProblem:
             return rng.integers(0, m, size=size)
 
         def sample_grad(token, x, l):
-            return self._block_grad([int(token)], x, l)
+            return block_grad([int(token)], x, l)
 
         def batch_grad(batch, x, l):
-            return self._block_grad([int(i) for i in np.atleast_1d(batch)], x, l)
+            return block_grad([int(i) for i in np.atleast_1d(batch)], x, l)
 
         blocks = tuple(BlockSpec(b - a, Unconstrained(b - a)) for a, b in ranges)
         return ProblemInstance(
@@ -206,18 +226,6 @@ class SvmProblem:
             true_gradient=lambda x: svm_true_gradient(x, ds, lam),
             x0=np.ones(ds.num_features),
         )
-
-    def _block_grad(self, tokens: Sequence[int], x, l: int) -> Vector:
-        start, stop = self.block_ranges[l]
-        x = np.asarray(x, dtype=np.float64)
-        g = self.lam * x[start:stop]
-        for i in tokens:
-            ex = self.dataset.examples[i]
-            margin = ex.label * float(ex.values @ x[ex.indices])
-            if margin <= 1.0:
-                inside = (ex.indices >= start) & (ex.indices < stop)
-                g[ex.indices[inside] - start] -= (ex.label / len(tokens)) * ex.values[inside]
-        return g
 
 
 def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
@@ -241,11 +249,8 @@ def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
     deficit = np.maximum(0.0, margin - labels * scores)
     slack = np.where(deficit > 0, margin * rng.random(m), 0.0)
     features += (labels * (deficit + slack))[:, None] * w_star[None, :]
-    examples = [
-        SparseExample(np.arange(n, dtype=np.int64), features[i], int(labels[i]))
-        for i in range(m)
-    ]
-    return SvmDataset(examples, num_features=n, name=name), w_star
+    rows = sparse.csr_matrix(features)
+    return SvmDataset(rows.indptr, rows.indices, rows.data, labels, n, name), w_star
 
 
 # ---------------------------------------------------------------------------

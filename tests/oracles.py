@@ -68,17 +68,18 @@ def central_difference(fn, x, step=1e-5):
 
 
 def naive_svm_objective(w, dataset, lam):
-    """Per-example Python accumulation of the regularized hinge objective."""
+    """Per-row Python accumulation of the regularized hinge objective, walking
+    the CSR arrays by ``indptr`` (independent of ``dataset.matrix``)."""
     total = 0.0
-    for ex in dataset.examples:
+    for i in range(dataset.m):
         score = 0.0
-        for idx, val in zip(ex.indices, ex.values):
-            score += val * w[idx]
-        total += max(0.0, 1.0 - ex.label * score)
+        for p in range(dataset.indptr[i], dataset.indptr[i + 1]):
+            score += dataset.values[p] * w[dataset.indices[p]]
+        total += max(0.0, 1.0 - dataset.labels[i] * score)
     reg = 0.0
     for wj in w:
         reg += wj * wj
-    return 0.5 * lam * reg + total / len(dataset.examples)
+    return 0.5 * lam * reg + total / dataset.m
 
 
 def tracker_by_recursion(omegas, grads):

@@ -199,6 +199,27 @@ class TestRun:
                        "--eval-every", "10", "--rho-avg", "0", "--outdir", str(outdir))
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [
+        ("--test-data", "/nonexistent/test.libsvm"),
+        ("--subsample", "0.5"),
+        ("--features", "9"),
+        ("--remap-labels",),
+        ("--lambda", "3"),
+    ], ids=lambda flags: flags[0])
+    def test_data_only_flags_rejected_with_synthetic(self, tmp_path, capsys, flags):
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", "adam", "--synthetic", "quad-d4", *flags,
+                       "--iters", "10", "--eval-every", "10", "--outdir", str(outdir))
+        assert code == 2
+        assert f"{flags[0]} applies to --data only" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_workers_default_to_one(self, tmp_path):
+        outdir = tmp_path / "r"
+        assert run_cli("run", "--method", "proposed", "--synthetic", "quad-d4",
+                       "--iters", "10", "--eval-every", "10", "--outdir", str(outdir)) == 0
+        assert read_manifest(outdir / "proposed.manifest.txt")["workers"] == "1"
+
 
 class TestCompare:
     def test_zero_iterations_yields_header_only_traces(self, svm_file, tmp_path):

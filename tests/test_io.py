@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockstoch import SparseExample, SvmDataset, TraceRecord, make_separable_dataset
+from blockstoch import SvmDataset, TraceRecord, make_separable_dataset
 from blockstoch.io import (
     ParseError,
     dataset_checksum,
@@ -24,16 +24,9 @@ from blockstoch.io import (
 
 
 def datasets_equal(a: SvmDataset, b: SvmDataset) -> bool:
-    if a.num_features != b.num_features or a.m != b.m:
-        return False
-    for ea, eb in zip(a.examples, b.examples):
-        if ea.label != eb.label:
-            return False
-        if not np.array_equal(ea.indices, eb.indices):
-            return False
-        if not np.array_equal(ea.values, eb.values):
-            return False
-    return True
+    return a.num_features == b.num_features and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("indptr", "indices", "values", "labels"))
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +37,7 @@ class TestParseLibsvm:
     def test_basic_line_shifts_to_zero_based(self):
         ds = parse_libsvm(["+1 3:0.5 7:1.0"])
         assert ds.m == 1 and ds.num_features == 7
-        ex = ds.examples[0]
+        ex = ds.example(0)
         assert ex.label == 1
         np.testing.assert_array_equal(ex.indices, [2, 6])
         np.testing.assert_array_equal(ex.values, [0.5, 1.0])
@@ -52,7 +45,7 @@ class TestParseLibsvm:
     def test_featureless_example(self):
         ds = parse_libsvm(["+1 2:1.0", "-1"])
         assert ds.m == 2
-        assert ds.examples[1].indices.size == 0
+        assert ds.example(1).indices.size == 0
         only = parse_libsvm(["-1"], num_features=3)
         assert only.num_features == 3
 
@@ -99,12 +92,12 @@ class TestParseLibsvm:
         assert f"{token!r} (column {column}): value is not finite" in str(info.value)
 
     def test_label_rules(self):
-        assert parse_libsvm(["1 1:1"]).examples[0].label == 1
-        assert parse_libsvm(["-1.0 1:1"]).examples[0].label == -1
+        assert parse_libsvm(["1 1:1"]).example(0).label == 1
+        assert parse_libsvm(["-1.0 1:1"]).example(0).label == -1
         with pytest.raises(ParseError, match="remap"):
             parse_libsvm(["0 1:1"])
         remapped = parse_libsvm(["0 1:1", "1 2:1"], remap_zero_one=True)
-        assert [ex.label for ex in remapped.examples] == [-1, 1]
+        assert remapped.labels.tolist() == [-1, 1]
         with pytest.raises(ParseError, match="label"):
             parse_libsvm(["2 1:1"])
         with pytest.raises(ParseError, match="label"):
@@ -122,7 +115,7 @@ class TestParseLibsvm:
 
     def test_explicit_zeros_dropped(self):
         ds = parse_libsvm(["1 2:0.0 3:1.0"])
-        np.testing.assert_array_equal(ds.examples[0].indices, [2])
+        np.testing.assert_array_equal(ds.example(0).indices, [2])
 
     def test_features_override(self):
         ds = parse_libsvm(["1 2:1.0"], num_features=10)
@@ -137,15 +130,17 @@ class TestParseLibsvm:
     def test_round_trip_generated_corpus(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            examples = []
+            indptr, indices, values, labels = [0], [], [], []
             n = int(rng.integers(3, 40))
             for _ in range(40):
                 size = int(rng.integers(0, n))
-                idx = np.sort(rng.choice(n, size=size, replace=False))
+                indices.extend(np.sort(rng.choice(n, size=size, replace=False)))
                 vals = rng.standard_normal(size)
                 vals[vals == 0.0] = 1.0
-                examples.append(SparseExample(idx, vals, int(rng.choice([-1, 1]))))
-            ds = SvmDataset(examples, n, "corpus")
+                values.extend(vals)
+                indptr.append(len(indices))
+                labels.append(int(rng.choice([-1, 1])))
+            ds = SvmDataset(indptr, indices, values, labels, n, "corpus")
             again = parse_libsvm(libsvm_lines(ds), num_features=n, name="corpus")
             assert datasets_equal(ds, again)
 
@@ -221,6 +216,15 @@ class TestSubsample:
     def test_preserves_feature_count(self):
         ds = self.make(20)
         assert subsample(ds, 0.25, seed=2).num_features == ds.num_features
+
+    def test_rows_are_gathered_whole(self):
+        ds = parse_libsvm(["+1 1:1 3:2", "-1", "+1 2:5", "-1 1:-1 2:1 3:4", "+1 3:7", "-1"])
+        sub = subsample(ds, 0.5, seed=3)
+        rows = np.sort(np.random.default_rng(3).choice(6, size=3, replace=False))
+        assert sub.m == 3 and sub.nnz == sum(ds.example(int(i)).indices.size for i in rows)
+        for r, i in enumerate(rows):
+            for got, want in zip(sub.example(r), ds.example(int(i))):
+                np.testing.assert_array_equal(got, want)
 
     def test_empty_result_is_error(self):
         with pytest.raises(ValueError, match="empty"):

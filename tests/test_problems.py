@@ -30,14 +30,23 @@ def dense_example(values, label):
     return SparseExample(np.flatnonzero(keep), values[keep], label)
 
 
+def dense_dataset(rows, labels, name=""):
+    """SvmDataset holding the non-zero entries of the dense rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    stored = rows != 0.0
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    return SvmDataset(indptr, np.nonzero(stored)[1], rows[stored], labels, rows.shape[1], name)
+
+
 def random_dataset(rng, m=40, n=12, density=0.6):
-    examples = []
+    rows, labels = [], []
     for _ in range(m):
         row = rng.standard_normal(n) * (rng.random(n) < density)
         if not np.any(row):
             row[int(rng.integers(0, n))] = 1.0
-        examples.append(dense_example(row, int(rng.choice([-1, 1]))))
-    return SvmDataset(examples, n, "random")
+        rows.append(row)
+        labels.append(int(rng.choice([-1, 1])))
+    return dense_dataset(rows, labels, "random")
 
 
 # ---------------------------------------------------------------------------
@@ -45,31 +54,54 @@ def random_dataset(rng, m=40, n=12, density=0.6):
 # ---------------------------------------------------------------------------
 
 class TestContainers:
-    def test_sparse_example_validation(self):
-        with pytest.raises(ValueError):
-            SparseExample(np.array([2, 1]), np.array([1.0, 1.0]), 1)
-        with pytest.raises(ValueError):
-            SparseExample(np.array([0]), np.array([0.0]), 1)
-        with pytest.raises(ValueError):
-            SparseExample(np.array([0]), np.array([1.0]), 2)
-        with pytest.raises(ValueError):
-            SparseExample(np.array([-1]), np.array([1.0]), 1)
+    @pytest.mark.parametrize("indptr, indices, values, labels, row, rule", [
+        ([0, 1, 3], [0, 2, 1], [1.0, 1.0, 1.0], [1, 1], 1, "strictly increasing"),
+        ([0, 1, 3], [0, 1, 1], [1.0, 1.0, 1.0], [1, 1], 1, "strictly increasing"),
+        ([0, 1, 2], [0, 1], [1.0, 0.0], [1, 1], 1, "stored zero"),
+        ([0, 1, 2], [0, 1], [1.0, 1.0], [1, 2], 1, r"label is not -1 or \+1 \(2.0\)"),
+        ([0, 1, 2], [0, -1], [1.0, 1.0], [1, 1], 1, r"feature index outside \[0, 3\)"),
+        ([0, 1, 1, 2], [0, 3], [1.0, 1.0], [1, 1, -1], 2, r"feature index outside \[0, 3\)"),
+        ([0, 1, 2], [0, 1], [1.0, np.nan], [1, 1], 1, "value is not finite"),
+        ([0, 1, 3], [0, 1, 2], [1.0, 2.0, -np.inf], [1, 1], 1, "value is not finite"),
+        ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], [1, 1, 1], 1, "indptr does not delimit"),
+        ([0, 1, 4], [0, 1, 2], [1.0, 1.0, 1.0], [1, 1], 1, "indptr does not delimit"),
+        ([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], [1, 1], 1, "indptr does not delimit"),
+        ([1, 1, 2], [0, 1], [1.0, 1.0], [1, 1], 0, "indptr does not delimit"),
+    ], ids=["unsorted", "repeated", "stored-zero", "label-2", "negative-index",
+            "index-past-features", "nan", "inf", "indptr-falls", "indptr-past-end",
+            "indptr-short-of-end", "indptr-not-from-zero"])
+    def test_construction_rules_name_the_row(self, indptr, indices, values, labels,
+                                             row, rule):
+        with pytest.raises(ValueError, match=rf"^row {row}: .*{rule}"):
+            SvmDataset(indptr, indices, values, labels, 3)
 
     def test_dataset_validation(self):
-        ex = dense_example([1.0, 2.0], 1)
-        with pytest.raises(ValueError):
-            SvmDataset([], 2)
-        with pytest.raises(ValueError):
-            SvmDataset([ex], 1)
+        with pytest.raises(ValueError, match="at least one example"):
+            SvmDataset([0], [], [], [], 2)
+        with pytest.raises(ValueError, match="num_features"):
+            SvmDataset([0, 1], [0], [1.0], [1], 0)
+        with pytest.raises(ValueError, match="indptr entries"):
+            SvmDataset([0, 1], [0], [1.0], [1, 1], 2)
+
+    def test_rows_restart_their_index_order(self):
+        ds = SvmDataset([0, 2, 2, 3], [0, 3, 1], [1.0, -2.0, 0.5], [1, -1, 1], 4)
+        assert ds.example(1).indices.size == 0
+        ex = ds.example(2)
+        np.testing.assert_array_equal(ex.indices, [1])
+        assert ex.label == 1.0 and ex.values[0] == 0.5
 
     def test_matrix_and_sparsity(self):
-        ds = SvmDataset([dense_example([1.0, 0.0, 2.0], 1),
-                         dense_example([0.0, 3.0, 0.0], -1)], 3)
+        ds = dense_dataset([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]], [1, -1])
         assert ds.m == 2 and ds.nnz == 3
         assert ds.sparsity_percent() == pytest.approx(50.0)
         np.testing.assert_array_equal(ds.matrix.toarray(),
                                       [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
         np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
+
+    def test_matrix_shares_the_arrays(self):
+        ds = random_dataset(np.random.default_rng(3))
+        for name, attr in (("data", "values"), ("indices", "indices"), ("indptr", "indptr")):
+            assert getattr(ds.matrix, name) is getattr(ds, attr)
 
     def test_even_partition(self):
         assert even_partition(10, 3) == ((0, 3), (3, 6), (6, 10))
@@ -119,7 +151,7 @@ class TestSvmObjective:
         assert svm_objective(np.zeros(ds.num_features), ds, 0.5) == pytest.approx(1.0)
 
     def test_single_example_values(self):
-        ds = SvmDataset([dense_example([1.0], 1)], 1)
+        ds = dense_dataset([[1.0]], [1])
         assert svm_objective(np.array([1.0]), ds, 2.0) == pytest.approx(1.0)
         assert svm_objective(np.array([0.5]), ds, 0.0) == pytest.approx(0.5)
 
@@ -136,7 +168,7 @@ class TestSvmObjective:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, m=25, n=8)
         w = rng.standard_normal(8)
-        mean = np.mean([svm_sample_grad(w, ex, 0.05) for ex in ds.examples], axis=0)
+        mean = np.mean([svm_sample_grad(w, ds.example(i), 0.05) for i in range(ds.m)], axis=0)
         np.testing.assert_allclose(svm_true_gradient(w, ds, 0.05), mean, rtol=1e-12, atol=1e-14)
 
 
@@ -150,9 +182,7 @@ class TestSvmAccuracy:
         assert svm_accuracy(np.zeros(5), ds) == 0.0
 
     def test_partial(self):
-        ds = SvmDataset([dense_example([1.0], 1),
-                         dense_example([1.0], -1),
-                         dense_example([-2.0], -1)], 1)
+        ds = dense_dataset([[1.0], [1.0], [-2.0]], [1, -1, -1])
         assert svm_accuracy(np.array([1.0]), ds) == pytest.approx(2.0 / 3.0)
 
 
@@ -163,10 +193,9 @@ class TestSeparableGenerator:
         np.testing.assert_array_equal(w1, w2)
         margins = ds1.labels * (ds1.matrix @ w1)
         assert np.all(margins >= 0.5 - 1e-9)
-        assert {ex.label for ex in ds1.examples} == {-1, 1}
-        for a, b in zip(ds1.examples, ds2.examples):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert a.label == b.label
+        assert set(ds1.labels) == {-1.0, 1.0}
+        np.testing.assert_array_equal(ds1.values, ds2.values)
+        np.testing.assert_array_equal(ds1.labels, ds2.labels)
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -193,7 +222,7 @@ class TestSvmProblem:
         w = rng.standard_normal(11)
         for token in (0, 7, 29):
             joint = np.concatenate([inst.sample_grad(token, w, l) for l in range(3)])
-            direct = svm_sample_grad(w, ds.examples[token], 0.01)
+            direct = svm_sample_grad(w, ds.example(token), 0.01)
             np.testing.assert_array_equal(joint, direct)
 
     def test_batch_gradient_is_mean_of_singles(self):
