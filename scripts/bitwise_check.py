@@ -7,7 +7,9 @@ its own subprocess, which runs all methods on fixed seeds with ``MaxIters``
 and prints the raw bytes of the final iterates and the trace records
 ``(k, objective, step_norm, tracker_error)``.  The script reports, per
 configuration and method, whether the two trees agree bit for bit, and
-exits 1 if any differ.  The configurations, each at 1 and 2 workers, are
+exits 1 if any differ.  The configurations, each at ``n_workers`` 1 and 2
+(the field selects nothing in a serial tree, so against an older pooled
+tree the 2-worker entries compare its pool with the serial step), are
 the benchmark's svm-loop shape (planted 1000 x 20 SVM, 4 blocks, B = 1,
 schedule (0.51, 0.75, 5.0)), a Box/L2Ball quadratic at batch 4, and a
 parsed-sparse SVM at batch 4 in 2 blocks: a fixed LIBSVM corpus with rows

@@ -180,8 +180,7 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w, m, v
-        for l, sl in enumerate(slices):
-            g[sl] = inst.mean_block_grad(batch, w, l)
+        inst.gather_grad(batch, w, g)
         w, m, v = adam_step(w, g, m, v, t, params, project)
         _check_finite(t, slices, g, w)
         return w

@@ -90,7 +90,7 @@ def _parse_synthetic(args) -> tuple[ProblemInstance, dict]:
         raise UsageError("--synthetic: dimension must be positive")
     # All-ones target: the centroid start (zeros) is genuinely away from it.
     quad = make_quadratic(dim, noise_stddev=sigma, target=np.ones(dim),
-                          n_blocks=max(1, min(args.blocks, dim)))
+                          n_blocks=min(args.blocks, dim))
     extras["analytic_objective"] = repr(quad.optimal_value())
     return quad.instance(), extras
 
@@ -100,6 +100,8 @@ def _load_problem(args):
     kind "synthetic" with a ProblemInstance."""
     if (args.data is None) == (args.synthetic is None):
         raise UsageError("exactly one of --data and --synthetic is required")
+    if args.blocks < 1:
+        raise UsageError(f"--blocks: need at least 1 block, got {args.blocks}")
     if args.data is None:
         for flag, value in (("--test-data", args.test_data), ("--subsample", args.subsample),
                             ("--features", args.features), ("--lambda", args.lam),
@@ -116,7 +118,7 @@ def _load_problem(args):
     if args.subsample is not None:
         ds = dataio.subsample(ds, args.subsample, args.subsample_seed)
     lam = _resolve_lambda(args, ds.name)
-    problem = SvmProblem.with_blocks(ds, lam, max(1, min(args.blocks, ds.num_features)))
+    problem = SvmProblem.with_blocks(ds, lam, min(args.blocks, ds.num_features))
     extras = {
         "dataset_path": str(path),
         "dataset_checksum": dataio.dataset_checksum(path),
@@ -139,6 +141,11 @@ def _load_test_set(args, problem):
                               remap_zero_one=args.remap_labels)
 
 
+# The flag behind each RunConfig field; its ValueError messages start with the field name.
+_RUN_FLAGS = {"batch_size": "--batch", "max_iters": "--iters", "seed": "--seed",
+              "eval_every": "--eval-every", "termination": "--term-eps"}
+
+
 def _build_config(args, methods) -> RunConfig:
     schedule = Schedule(args.rho_omega, args.rho_alpha, args.alpha_scale)
     if "avg-sca" in methods:
@@ -146,16 +153,17 @@ def _build_config(args, methods) -> RunConfig:
             check_rho_avg(args.rho_avg, schedule)
         except ValueError as exc:
             raise UsageError(f"--rho-avg: {exc}") from None
-    termination = StepNormBelow(args.term_eps) if args.term_eps is not None else MaxIters()
-    return RunConfig(
-        schedule=schedule,
-        batch_size=args.batch,
-        max_iters=args.iters,
-        seed=args.seed,
-        eval_every=args.eval_every,
-        termination=termination,
-        n_workers=args.workers,
-    )
+    try:
+        return RunConfig(
+            schedule=schedule,
+            batch_size=args.batch,
+            max_iters=args.iters,
+            seed=args.seed,
+            eval_every=args.eval_every,
+            termination=MaxIters() if args.term_eps is None else StepNormBelow(args.term_eps),
+        )
+    except ValueError as exc:
+        raise UsageError(f"{_RUN_FLAGS[str(exc).split()[0]]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +210,7 @@ def _write_outputs(method: str, kind: str, problem, args, config, x, trace,
         "batch": config.batch_size,
         "samples_per_iteration": config.batch_size,
         "eval_every": config.eval_every,
-        "workers": config.n_workers,
-        "blocks": args.blocks,
+        "blocks": len(instance.blocks),
         "rho_omega": args.rho_omega,
         "rho_alpha": args.rho_alpha,
         "alpha_scale": args.alpha_scale,
@@ -356,8 +363,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     r.add_argument("--batch", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--eval-every", type=int, default=100)
-    r.add_argument("--workers", type=int, default=1,
-                   help="threads for proposed's block updates (speed only)")
     r.add_argument("--term-eps", type=float, default=None,
                    help="stop any method once step_norm/alpha_k is at most this")
 

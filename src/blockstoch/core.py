@@ -4,15 +4,15 @@ The solver maintains a gradient tracker h that blends each iteration's
 mini-batch sample gradient into a running convex combination, then moves
 every block through a proximal step (projection of a scaled tracker step
 onto the block's feasible set).  Block updates within one iteration are
-mutually independent and may run on a thread pool without changing the
-result.
+mutually independent: each reads the previous iterate and writes only its
+own slice.  One step runs them as a single serial pass.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -191,19 +191,14 @@ class BlockSpec:
 class ProblemInstance:
     """Stochastic objective oracle over a block-partitioned variable.
 
-    The sampling contract: ``sample_draw(rng)`` returns an opaque token for
-    one realization of the problem's randomness, and
-    ``sample_grad(token, x, l)`` evaluates that realization's cost gradient
-    over block ``l`` at the joint point ``x``.  Gradients must be unbiased
-    estimates of the true gradient with bounded variance; the synthetic
-    problems in :mod:`blockstoch.problems` satisfy this by construction and
-    the test suite checks it statistically.
-
-    ``sample_batch``/``batch_grad`` are optional vectorized equivalents
-    (draw a whole batch at once / return the batch-mean block gradient);
-    when absent they are derived from the single-sample procedures.  The
-    engine only ever consumes batches, so providing the vectorized pair
-    changes speed, never semantics.
+    The sampling contract: ``sample_batch(rng, size)`` draws an opaque
+    batch of ``size`` realizations of the problem's randomness, and
+    ``batch_grad(batch, x, l)`` returns the batch-mean cost gradient over
+    block ``l`` at the joint point ``x``, a numpy array of shape
+    ``(block dim,)``.  Gradients must be unbiased estimates of the true
+    gradient with bounded variance; the problems in
+    :mod:`blockstoch.problems` satisfy this by construction and the test
+    suite checks it statistically.
 
     ``true_objective``/``true_gradient`` are optional exact oracles used
     for trace metrics and verification; ``x0`` is an optional preferred
@@ -211,10 +206,8 @@ class ProblemInstance:
     """
 
     blocks: tuple[BlockSpec, ...]
-    sample_draw: Callable[[np.random.Generator], Any]
-    sample_grad: Callable[[Any, Vector, int], Vector]
-    sample_batch: Optional[Callable[[np.random.Generator, int], Any]] = None
-    batch_grad: Optional[Callable[[Any, Vector, int], Vector]] = None
+    sample_batch: Callable[[np.random.Generator, int], Any]
+    batch_grad: Callable[[Any, Vector, int], Vector]
     true_objective: Optional[Callable[[Vector], float]] = None
     true_gradient: Optional[Callable[[Vector], Vector]] = None
     x0: Optional[Vector] = None
@@ -228,13 +221,18 @@ class ProblemInstance:
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    @property
+    @cached_property
     def block_slices(self) -> tuple[slice, ...]:
         out, offset = [], 0
         for b in self.blocks:
             out.append(slice(offset, offset + b.dim))
             offset += b.dim
         return tuple(out)
+
+    @cached_property
+    def _grad_layout(self) -> tuple[tuple[int, slice, tuple[int]], ...]:
+        return tuple((l, sl, (b.dim,))
+                     for l, (sl, b) in enumerate(zip(self.block_slices, self.blocks)))
 
     def project(self, x) -> Vector:
         """Project a joint vector onto the product of block sets."""
@@ -251,17 +249,17 @@ class ProblemInstance:
             return self.project(self.x0)
         return np.concatenate([b.feasible_set.centroid() for b in self.blocks])
 
-    def draw_batch(self, rng: np.random.Generator, size: int):
-        if self.sample_batch is not None:
-            return self.sample_batch(rng, size)
-        return tuple(self.sample_draw(rng) for _ in range(size))
-
-    def mean_block_grad(self, batch, x: Vector, l: int) -> Vector:
-        """Arithmetic mean of the batch's sample gradients over block l."""
-        if self.batch_grad is not None:
-            return self.batch_grad(batch, x, l)
-        parts = [np.asarray(self.sample_grad(tok, x, l), dtype=np.float64) for tok in batch]
-        return np.mean(parts, axis=0)
+    def gather_grad(self, batch, x: Vector, out: Vector) -> Vector:
+        """Write the batch-mean gradient at x into the joint vector out, one
+        ``batch_grad`` call per block, and return out.  A block gradient
+        that is not an array of shape ``(block dim,)`` raises ValueError."""
+        for l, sl, shape in self._grad_layout:
+            g_l = self.batch_grad(batch, x, l)
+            shape_l = getattr(g_l, "shape", None)
+            if shape_l != shape:
+                raise ValueError(f"block {l} gradient has shape {shape_l}, expected {shape}")
+            out[sl] = g_l
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +287,9 @@ Termination = Union[MaxIters, StepNormBelow]
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Settings of one run.  ``n_workers`` is kept for callers that set it
+    and must be >= 1, but selects nothing: every run is serial."""
+
     schedule: Schedule = field(default_factory=Schedule)
     batch_size: int = 1
     max_iters: int = 1000
@@ -302,6 +303,8 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.max_iters > 0 and self.eval_every > self.max_iters:
@@ -464,7 +467,7 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
     for k in range(1, config.max_iters + 1):
         omega_k = schedule.omega(k)
         alpha_k = schedule.alpha(k)
-        batch = problem.draw_batch(rng, config.batch_size)
+        batch = problem.sample_batch(rng, config.batch_size)
         if sample_log is not None and len(sample_log) < 100:
             sample_log.append(np.array(batch) if isinstance(batch, np.ndarray) else batch)
 
@@ -484,41 +487,26 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
     return x, trace
 
 
-def block_step(problem: ProblemInstance, x: Vector, h: Vector,
-               pool: Optional[ThreadPoolExecutor] = None) -> Step:
+def block_step(problem: ProblemInstance, x: Vector, h: Vector) -> Step:
     """The proposed method's update, from x, as a step for :func:`drive`.
 
-    Every block folds the batch-mean sample gradient into its slice of the
-    tracker h (updated in place) and moves to project(x - alpha_k h) on its
-    own set.  Blocks read the previous iterate and write disjoint slices,
-    so running them on ``pool`` does not change the result.
+    One serial pass: gather the batch-mean gradient g at the previous
+    iterate, fold it into the tracker h (updated in place), form
+    x - alpha_k h and project each block's slice onto its own set.
     """
     slices = problem.block_slices
-    blocks = range(len(slices))
+    blocks = tuple(zip(slices, (b.feasible_set for b in problem.blocks)))
     g = np.empty(problem.dim)
 
     def step(batch, k: int, omega_k: float, alpha_k: float) -> Vector:
-        nonlocal x
-        x_prev, x_next = x, np.empty_like(x)
-
-        def update_block(l: int) -> None:
-            sl, spec = slices[l], problem.blocks[l]
-            g_l = np.asarray(problem.mean_block_grad(batch, x_prev, l), dtype=np.float64)
-            if g_l.shape != (spec.dim,):
-                raise ValueError(f"block {l} gradient has shape {g_l.shape}, "
-                                 f"expected ({spec.dim},)")
-            g[sl] = g_l
-            h[sl] = (1.0 - omega_k) * h[sl] + omega_k * g_l
-            x_next[sl] = spec.feasible_set.project(x_prev[sl] - alpha_k * h[sl])
-
-        if pool is None:
-            for l in blocks:
-                update_block(l)
-        else:
-            # list() forces completion and re-raises worker exceptions.
-            list(pool.map(update_block, blocks))
-        _check_finite(k, slices, g, x_next)
-        x = x_next
+        nonlocal x, h
+        problem.gather_grad(batch, x, g)
+        h *= 1.0 - omega_k
+        h += omega_k * g
+        x = x - alpha_k * h
+        for sl, feasible_set in blocks:
+            x[sl] = feasible_set.project(x[sl])
+        _check_finite(k, slices, g, x)
         return x
 
     return step
@@ -530,20 +518,11 @@ def run(problem: ProblemInstance, config: RunConfig, x0=None,
         ) -> tuple[Vector, list[TraceRecord]]:
     """Run the solver and return (final joint iterate, trace records).
 
-    The :func:`block_step` update under :func:`drive`, with the block
-    updates on a thread pool when ``config.n_workers > 1``; the result is
-    the same for any worker count and deterministic for a fixed seed.  An
-    infeasible start is projected at entry.
+    The :func:`block_step` update under :func:`drive`; the result is
+    deterministic for a fixed seed.  An infeasible start is projected at
+    entry.
     """
     x = problem.default_start() if x0 is None else problem.project(x0)
     h = np.zeros(problem.dim)
-    n_blocks = len(problem.blocks)
-    pool = None
-    if config.n_workers > 1 and n_blocks > 1:
-        pool = ThreadPoolExecutor(max_workers=min(config.n_workers, n_blocks))
-    try:
-        return drive(problem, config, x, block_step(problem, x, h, pool), h,
-                     sample_log, iteration_callback)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    return drive(problem, config, x, block_step(problem, x, h), h, sample_log,
+                 iteration_callback)

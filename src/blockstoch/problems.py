@@ -203,14 +203,8 @@ class SvmProblem:
                     g[indices[lo:hi] - start] -= (y / len(tokens)) * values[lo:hi]
             return g
 
-        def sample_draw(rng):
-            return int(rng.integers(0, m))
-
         def sample_batch(rng, size):
             return rng.integers(0, m, size=size)
-
-        def sample_grad(token, x, l):
-            return block_grad([int(token)], x, l)
 
         def batch_grad(batch, x, l):
             return block_grad([int(i) for i in np.atleast_1d(batch)], x, l)
@@ -218,8 +212,6 @@ class SvmProblem:
         blocks = tuple(BlockSpec(b - a, Unconstrained(b - a)) for a, b in ranges)
         return ProblemInstance(
             blocks=blocks,
-            sample_draw=sample_draw,
-            sample_grad=sample_grad,
             sample_batch=sample_batch,
             batch_grad=batch_grad,
             true_objective=lambda x: svm_objective(x, ds, lam),
@@ -333,15 +325,8 @@ class QuadraticProblem:
         bounds = np.concatenate(([0], np.cumsum([b.dim for b in self.blocks])))
         slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
-        def sample_draw(rng):
-            return mu + sigma * rng.standard_normal(mu.size)
-
         def sample_batch(rng, size):
             return mu[None, :] + sigma * rng.standard_normal((size, mu.size))
-
-        def sample_grad(z, x, l):
-            sl = slices[l]
-            return c[sl] * (np.asarray(x)[sl] - np.asarray(z)[sl])
 
         def batch_grad(z_batch, x, l):
             sl = slices[l]
@@ -349,8 +334,6 @@ class QuadraticProblem:
 
         return ProblemInstance(
             blocks=self.blocks,
-            sample_draw=sample_draw,
-            sample_grad=sample_grad,
             sample_batch=sample_batch,
             batch_grad=batch_grad,
             true_objective=self.objective,
@@ -399,22 +382,14 @@ def make_nonconvex_toy(noise_stddev: float = 1.0) -> ProblemInstance:
         x = np.asarray(x, dtype=np.float64)
         return np.array([4.0 * x[0] * (x[0] ** 2 - 1.0), 2.0 * x[1]])
 
-    def sample_draw(rng):
-        return sigma * rng.standard_normal(2)
-
     def sample_batch(rng, size):
         return sigma * rng.standard_normal((size, 2))
-
-    def sample_grad(z, x, l):
-        return true_gradient(x) + np.asarray(z)
 
     def batch_grad(z_batch, x, l):
         return true_gradient(x) + np.asarray(z_batch).mean(axis=0)
 
     return ProblemInstance(
         blocks=(BlockSpec(2, box),),
-        sample_draw=sample_draw,
-        sample_grad=sample_grad,
         sample_batch=sample_batch,
         batch_grad=batch_grad,
         true_objective=true_objective,

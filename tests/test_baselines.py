@@ -142,8 +142,8 @@ def constant_problem(dim=3, start=None):
     x0 = np.full(dim, 2.0) if start is None else np.asarray(start, dtype=float)
     return ProblemInstance(
         blocks=(BlockSpec(dim, Unconstrained(dim)),),
-        sample_draw=lambda rng: 0.0,
-        sample_grad=lambda tok, x, l: np.zeros(dim),
+        sample_batch=lambda rng, size: np.zeros(size),
+        batch_grad=lambda batch, x, l: np.zeros(dim),
         true_objective=lambda x: 0.0,
         x0=x0,
     )

@@ -214,11 +214,43 @@ class TestRun:
         assert f"{flags[0]} applies to --data only" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_workers_default_to_one(self, tmp_path):
+    @pytest.mark.parametrize("blocks", ["0", "-3"])
+    def test_blocks_below_one_is_usage_error(self, tmp_path, capsys, blocks):
         outdir = tmp_path / "r"
-        assert run_cli("run", "--method", "proposed", "--synthetic", "quad-d4",
-                       "--iters", "10", "--eval-every", "10", "--outdir", str(outdir)) == 0
-        assert read_manifest(outdir / "proposed.manifest.txt")["workers"] == "1"
+        code = run_cli("run", "--method", "proposed", "--synthetic", "quad-d2",
+                       "--blocks", blocks, "--iters", "10", "--eval-every", "10",
+                       "--outdir", str(outdir))
+        assert code == 2
+        assert "--blocks" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("synthetic, blocks, ran", [("quad-d2", "4", "2"),
+                                                        ("noncvx", "3", "1")])
+    def test_manifest_records_blocks_that_ran(self, tmp_path, synthetic, blocks, ran):
+        outdir = tmp_path / "r"
+        assert run_cli("run", "--method", "proposed", "--synthetic", synthetic,
+                       "--blocks", blocks, "--iters", "10", "--eval-every", "10",
+                       "--outdir", str(outdir)) == 0
+        manifest = read_manifest(outdir / "proposed.manifest.txt")
+        assert manifest["blocks"] == ran
+        assert "workers" not in manifest
+
+    @pytest.mark.parametrize("flags", [
+        ("--batch", "0"),
+        ("--iters", "-1"),
+        ("--eval-every", "0"),
+        ("--iters", "10", "--eval-every", "20"),
+        ("--term-eps", "0"),
+        ("--seed", "-1"),
+    ], ids=" ".join)
+    def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, flags):
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", "proposed", "--synthetic", "quad-d4",
+                       "--outdir", str(outdir), *flags)
+        assert code == 2
+        # The last flag given is the one at fault.
+        assert capsys.readouterr().err.startswith(f"error: {flags[-2]}: ")
+        assert not outdir.exists()
 
 
 class TestCompare:

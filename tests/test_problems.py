@@ -221,7 +221,7 @@ class TestSvmProblem:
         inst = prob.instance()
         w = rng.standard_normal(11)
         for token in (0, 7, 29):
-            joint = np.concatenate([inst.sample_grad(token, w, l) for l in range(3)])
+            joint = np.concatenate([inst.batch_grad(np.array([token]), w, l) for l in range(3)])
             direct = svm_sample_grad(w, ds.example(token), 0.01)
             np.testing.assert_array_equal(joint, direct)
 
@@ -233,7 +233,8 @@ class TestSvmProblem:
         tokens = rng.integers(0, 30, size=7)
         for l in range(2):
             batch = inst.batch_grad(tokens, w, l)
-            singles = np.mean([inst.sample_grad(int(t), w, l) for t in tokens], axis=0)
+            singles = np.mean([inst.batch_grad(tokens[i:i + 1], w, l)
+                               for i in range(tokens.size)], axis=0)
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
     def test_default_start_is_all_ones(self):
@@ -253,8 +254,8 @@ class TestQuadratic:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(5)
-            token = inst.sample_draw(rng)
-            got = np.concatenate([inst.sample_grad(token, x, l)
+            batch = inst.sample_batch(rng, 1)
+            got = np.concatenate([inst.batch_grad(batch, x, l)
                                   for l in range(len(inst.blocks))])
             np.testing.assert_array_equal(got, inst.true_gradient(x))
 
@@ -292,7 +293,8 @@ class TestQuadratic:
         x = rng.standard_normal(6)
         for l in range(3):
             batch = inst.batch_grad(z_batch, x, l)
-            singles = np.mean([inst.sample_grad(z, x, l) for z in z_batch], axis=0)
+            singles = np.mean([inst.batch_grad(z_batch[i:i + 1], x, l)
+                               for i in range(len(z_batch))], axis=0)
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
     def test_rejects_bad_spec(self):
@@ -328,10 +330,10 @@ class TestNonconvexToy:
     def test_noise_is_additive_and_linear(self):
         inst = make_nonconvex_toy(noise_stddev=2.0)
         rng = np.random.default_rng(4)
-        z = inst.sample_draw(rng)
+        z = inst.sample_batch(rng, 1)
         x = np.array([0.3, -0.7])
-        np.testing.assert_allclose(inst.sample_grad(z, x, 0),
-                                   inst.true_gradient(x) + z)
+        np.testing.assert_allclose(inst.batch_grad(z, x, 0),
+                                   inst.true_gradient(x) + z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +357,11 @@ class TestUnbiasedness:
             stderr = samples.std(axis=0, ddof=1) / np.sqrt(self.N)
             gap = np.abs(mean - quad.gradient(x))
             assert np.all(gap <= 3.0 * stderr + 1e-12)
-            # The vectorized sampler must agree with the per-token oracle.
+            # The batch oracle must agree with the mean of batches of one.
             for l in range(2):
                 np.testing.assert_allclose(
                     inst.batch_grad(z[:50], x, l),
-                    np.mean([inst.sample_grad(zz, x, l) for zz in z[:50]], axis=0),
+                    np.mean([inst.batch_grad(z[i:i + 1], x, l) for i in range(50)], axis=0),
                     rtol=1e-12, atol=1e-14)
 
     def test_svm_sampling(self):
