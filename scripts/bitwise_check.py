@@ -7,15 +7,15 @@ its own subprocess, which runs all methods on fixed seeds with ``MaxIters``
 and prints the raw bytes of the final iterates and the trace records
 ``(k, objective, step_norm, tracker_error)``.  The script reports, per
 configuration and method, whether the two trees agree bit for bit, and
-exits 1 if any differ.  The configurations, each at ``n_workers`` 1 and 2
-(the field selects nothing in a serial tree, so against an older pooled
-tree the 2-worker entries compare its pool with the serial step), are
-the benchmark's svm-loop shape (planted 1000 x 20 SVM, 4 blocks, B = 1,
-schedule (0.51, 0.75, 5.0)), a Box/L2Ball quadratic at batch 4, and a
-parsed-sparse SVM at batch 4 in 2 blocks: a fixed LIBSVM corpus with rows
-of varying length, empty rows and explicit ``k:0`` tokens, which the
-worker writes, reads back with ``load_libsvm`` and halves with
-``subsample``, so the parser's and the subsampler's output is compared too.
+exits 1 if any differ.  The configurations are the benchmark's svm-loop
+shape (planted 1000 x 20 SVM, 4 blocks, B = 1, schedule (0.51, 0.75,
+5.0)), a Box/L2Ball quadratic at batch 4, and a parsed-sparse SVM at
+batch 4 in 2 blocks: a fixed 2600-row LIBSVM corpus with CRLF line ends,
+blank lines, rows of varying length, empty rows and explicit ``k:0``
+tokens, which the worker writes, reads back with ``load_libsvm`` and
+halves with ``subsample``, so the parser's output across its chunk
+boundaries (``blockstoch.io.CHUNK_LINES`` lines each) and the
+subsampler's output are compared too.
 """
 
 import json
@@ -44,32 +44,32 @@ quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6), n_b
                                      L2Ball(np.array([0.05, -0.02, 0.0]), 0.8)])
 rng = np.random.default_rng(11)
 lines = []
-for row in range(400):
+for row in range(2600):
     cols = np.sort(rng.choice(30, size=int(rng.integers(0, 9)), replace=False)) + 1
     vals = rng.standard_normal(cols.size)
     if row % 5 == 0 and cols.size:
         vals[0] = 0.0  # a k:0 token, which the parser drops
     lines.append(" ".join(["+1" if rng.random() < 0.5 else "-1"]
                           + [f"{c}:{float(v)!r}" for c, v in zip(cols, vals)]))
+    if row % 150 == 0:
+        lines.append("")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "corpus.libsvm"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
     parsed = SvmProblem.with_blocks(subsample(load_libsvm(path), 0.5, 4), 1e-2, 2)
 for name, problem, schedule, batch in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
         ("quad-box-ball", quad, Schedule(), 4),
         ("parsed-sparse", parsed, Schedule(), 4)):
     inst = problem.instance()
-    for workers in (1, 2):
-        config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000,
-                           eval_every=100, seed=5, n_workers=workers)
-        tag = f"{name}/w{workers}"
-        out[f"{tag}/proposed"] = digest(*run(inst, config))
-        out[f"{tag}/adam"] = digest(*run_adam(inst, config))
-        out[f"{tag}/avg-sca"] = digest(*run_averaged_sca(inst, config, 0.8))
-        out[f"{tag}/avg-sca-pinned"] = digest(*run_averaged_sca(inst, config, 0.0))
-        if isinstance(problem, SvmProblem):
-            out[f"{tag}/pegasos"] = digest(*run_pegasos(problem, config))
+    config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000, eval_every=100,
+                       seed=5)
+    out[f"{name}/proposed"] = digest(*run(inst, config))
+    out[f"{name}/adam"] = digest(*run_adam(inst, config))
+    out[f"{name}/avg-sca"] = digest(*run_averaged_sca(inst, config, 0.8))
+    out[f"{name}/avg-sca-pinned"] = digest(*run_averaged_sca(inst, config, 0.0))
+    if isinstance(problem, SvmProblem):
+        out[f"{name}/pegasos"] = digest(*run_pegasos(problem, config))
 json.dump(out, sys.stdout)
 '''
 

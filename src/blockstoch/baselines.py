@@ -146,16 +146,17 @@ def averaging_weight(k: int, rho_avg: float) -> float:
 # Full runs: a start state and a step for the shared driver
 # ---------------------------------------------------------------------------
 
-def run_pegasos(problem: SvmProblem, config: RunConfig,
-                sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
+def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[list] = None,
+                inst: Optional[ProblemInstance] = None) -> tuple[Vector, list[TraceRecord]]:
     """Pegasos on the SVM problem; outputs the LAST weight vector.
 
     The full mini-batch is drawn every iteration to keep the sample stream
     aligned with the other methods, but only the first token is consumed
     (mini-batch Pegasos is out of scope).  The original method's optional
-    ball projection is omitted.
+    ball projection is omitted.  ``inst`` is ``problem.instance()`` when
+    the caller has already built it.
     """
-    inst = problem.instance()
+    inst = problem.instance() if inst is None else inst
     w = inst.default_start()
     example = problem.dataset.example
 

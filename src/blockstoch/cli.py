@@ -96,8 +96,8 @@ def _parse_synthetic(args) -> tuple[ProblemInstance, dict]:
 
 
 def _load_problem(args):
-    """Returns (kind, problem, extras): kind "svm" with an SvmProblem, or
-    kind "synthetic" with a ProblemInstance."""
+    """Returns (svm, instance, extras): the SvmProblem (None for a synthetic
+    problem) and the one ProblemInstance every method of the invocation runs."""
     if (args.data is None) == (args.synthetic is None):
         raise UsageError("exactly one of --data and --synthetic is required")
     if args.blocks < 1:
@@ -109,7 +109,7 @@ def _load_problem(args):
             if value is not None and value is not False:
                 raise UsageError(f"{flag} applies to --data only, not to --synthetic")
         instance, extras = _parse_synthetic(args)
-        return "synthetic", instance, extras
+        return None, instance, extras
     path = Path(args.data)
     if not path.is_file():
         raise UsageError(f"--data: no such file: {path}")
@@ -127,17 +127,17 @@ def _load_problem(args):
         "num_features": ds.num_features,
         "lambda": repr(lam),
     }
-    return "svm", problem, extras
+    return problem, problem.instance(), extras
 
 
-def _load_test_set(args, problem):
+def _load_test_set(args, svm: SvmProblem):
     """The --test-data set, parsed once per invocation, or None."""
     if args.test_data is None:
         return None
     path = Path(args.test_data)
     if not path.is_file():
         raise UsageError(f"--test-data: no such file: {path}")
-    return dataio.load_libsvm(path, num_features=problem.dataset.num_features,
+    return dataio.load_libsvm(path, num_features=svm.dataset.num_features,
                               remap_zero_one=args.remap_labels)
 
 
@@ -170,35 +170,34 @@ def _build_config(args, methods) -> RunConfig:
 # Single-method execution
 # ---------------------------------------------------------------------------
 
-def _run_method(method: str, kind: str, problem, config: RunConfig, args, sample_log):
+def _run_method(method: str, svm, instance: ProblemInstance, config: RunConfig, args,
+                sample_log):
     if method == "proposed":
-        instance = problem.instance() if kind == "svm" else problem
         return run(instance, config, sample_log=sample_log)
     if method == "pegasos":
-        if kind != "svm":
+        if svm is None:
             raise UsageError("--method pegasos needs an SVM problem (--data)")
-        return run_pegasos(problem, config, sample_log=sample_log)
+        return run_pegasos(svm, config, sample_log=sample_log, inst=instance)
     if method == "adam":
-        return run_adam(problem, config, AdamParams(lr=args.adam_lr), sample_log=sample_log)
+        return run_adam(instance, config, AdamParams(lr=args.adam_lr), sample_log=sample_log)
     if method == "avg-sca":
-        return run_averaged_sca(problem, config, args.rho_avg, sample_log=sample_log)
+        return run_averaged_sca(instance, config, args.rho_avg, sample_log=sample_log)
     raise UsageError(f"unknown method {method!r}")
 
 
-def _write_outputs(method: str, kind: str, problem, args, config, x, trace,
+def _write_outputs(method: str, svm, instance: ProblemInstance, args, config, x, trace,
                    cpu_seconds, wall_seconds, extras, outdir: Path, sample_log, test_set):
     if not args.trace_timing:
         trace = [replace(r, elapsed_ns=0) for r in trace]
     trace_path = outdir / f"{method}.trace.csv"
     dataio.write_trace(trace, trace_path)
 
-    instance = problem.instance() if kind == "svm" else problem
     final_objective = ""
     if instance.true_objective is not None:
         final_objective = repr(float(instance.true_objective(x)))
     train_acc = test_acc = ""
-    if kind == "svm":
-        train_acc = repr(svm_accuracy(x, problem.dataset))
+    if svm is not None:
+        train_acc = repr(svm_accuracy(x, svm.dataset))
         if test_set is not None:
             test_acc = repr(svm_accuracy(x, test_set))
 
@@ -244,15 +243,15 @@ def _write_outputs(method: str, kind: str, problem, args, config, x, trace,
     }
 
 
-def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path,
-             test_set):
+def _execute(method: str, svm, instance: ProblemInstance, args, config, extras,
+             outdir: Path, test_set):
     sample_log = [] if args.log_sample_indices else None
     cpu0 = time.process_time()
     wall0 = time.perf_counter()
-    x, trace = _run_method(method, kind, problem, config, args, sample_log)
+    x, trace = _run_method(method, svm, instance, config, args, sample_log)
     cpu_seconds = time.process_time() - cpu0
     wall_seconds = time.perf_counter() - wall0
-    summary = _write_outputs(method, kind, problem, args, config, x, trace,
+    summary = _write_outputs(method, svm, instance, args, config, x, trace,
                              cpu_seconds, wall_seconds, extras, outdir, sample_log, test_set)
     return summary, sample_log
 
@@ -262,28 +261,28 @@ def _execute(method: str, kind: str, problem, args, config, extras, outdir: Path
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    kind, problem, extras = _load_problem(args)
+    svm, instance, extras = _load_problem(args)
     config = _build_config(args, (args.method,))
-    test_set = _load_test_set(args, problem)
+    test_set = _load_test_set(args, svm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _execute(args.method, kind, problem, args, config, extras, outdir, test_set)
+    _execute(args.method, svm, instance, args, config, extras, outdir, test_set)
     return 0
 
 
 def cmd_compare(args) -> int:
-    kind, problem, extras = _load_problem(args)
-    if kind != "svm":
+    svm, instance, extras = _load_problem(args)
+    if svm is None:
         raise UsageError("compare needs an SVM problem (--data): pegasos is SVM-only")
     config = _build_config(args, METHODS)
-    test_set = _load_test_set(args, problem)
+    test_set = _load_test_set(args, svm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     summaries = []
     logs = {}
     for method in METHODS:
-        summary, sample_log = _execute(method, kind, problem, args, config, extras, outdir,
+        summary, sample_log = _execute(method, svm, instance, args, config, extras, outdir,
                                        test_set)
         summaries.append(summary)
         if sample_log is not None:

@@ -492,10 +492,13 @@ def block_step(problem: ProblemInstance, x: Vector, h: Vector) -> Step:
 
     One serial pass: gather the batch-mean gradient g at the previous
     iterate, fold it into the tracker h (updated in place), form
-    x - alpha_k h and project each block's slice onto its own set.
+    x - alpha_k h and project each block's slice onto its own set.  An
+    ``Unconstrained`` block's projection is the identity, so its slice is
+    left as formed.
     """
     slices = problem.block_slices
-    blocks = tuple(zip(slices, (b.feasible_set for b in problem.blocks)))
+    blocks = tuple((sl, b.feasible_set) for sl, b in zip(slices, problem.blocks)
+                   if not isinstance(b.feasible_set, Unconstrained))
     g = np.empty(problem.dim)
 
     def step(batch, k: int, omega_k: float, alpha_k: float) -> Vector:

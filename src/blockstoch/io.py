@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NoReturn, Optional
 
 import numpy as np
 
@@ -23,6 +24,11 @@ class ParseError(ValueError):
         self.detail = detail
 
 
+# Lines per vectorized pass; bounds the token strings held at once.
+CHUNK_LINES = 256
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+
+
 def _parse_label(token: str, line_no: int, remap_zero_one: bool) -> int:
     try:
         value = float(token)
@@ -36,24 +42,14 @@ def _parse_label(token: str, line_no: int, remap_zero_one: bool) -> int:
     raise ParseError(line_no, f"label {token!r} is not -1 or +1{hint}")
 
 
-def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
-                 name: str = "", remap_zero_one: bool = False) -> SvmDataset:
-    """Parse LIBSVM-format lines ``<label> <idx>:<val> ...`` into a dataset.
-
-    File indices are 1-based and strictly increasing per line; they come
-    back 0-based.  Blank lines are skipped, malformed tokens and NaN or
-    infinite values fail hard with the line number and column, and explicit
-    zero values are dropped (the sparse representation never stores them).
-    The feature count is the given override or the largest index seen.
-    """
-    indptr, indices, values, labels = [0], [], [], []
-    line_no = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+def _locate(chunk: list[str], line_no: int, remap_zero_one: bool) -> NoReturn:
+    """Scan a chunk that failed a vectorized rule token by token and raise the
+    ParseError of its first bad token; ``line_no`` is the line before it."""
+    for line_no, raw in enumerate(chunk, start=line_no + 1):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        labels.append(_parse_label(tokens[0], line_no, remap_zero_one))
+        _parse_label(tokens[0], line_no, remap_zero_one)
         previous = 0
         offset = raw.find(tokens[0]) + len(tokens[0])
         for token in tokens[1:]:
@@ -67,6 +63,8 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
                 idx = int(idx_text)
             except ValueError:
                 raise ParseError(line_no, f"{where}: bad index") from None
+            if idx > _MAX_INDEX:
+                raise ParseError(line_no, f"{where}: bad index")
             try:
                 val = float(val_text)
             except ValueError:
@@ -78,13 +76,76 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
             if idx <= previous:
                 raise ParseError(line_no, f"{where}: indices must be strictly increasing")
             previous = idx
-            if val != 0.0:
-                indices.append(idx - 1)
-                values.append(val)
-        indptr.append(len(indices))
-    if not labels:
+    raise RuntimeError(f"lines {line_no - len(chunk) + 1}-{line_no}: a vectorized rule "
+                       "failed but the token scan found no fault")
+
+
+def _parse_chunk(chunk: list[str], remap_zero_one: bool) -> Optional[tuple]:
+    """(labels, entries per row, 1-based indices, values) of one chunk's
+    non-blank lines, explicit zeros included; None if any rule fails."""
+    rows = list(filter(None, map(str.split, chunk)))
+    counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
+    text = " ".join(chain.from_iterable(tokens[1:] for tokens in rows))
+    # Exactly one colon inside each <index>:<value> token (colons and the
+    # joining spaces interleave), so the fields alternate index, value.
+    chars = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    colons, spaces = np.flatnonzero(chars == ord(":")), np.flatnonzero(chars == ord(" "))
+    if not (colons.size == counts.sum() and (colons[:-1] < spaces).all()
+            and (spaces < colons[1:]).all()):
+        return None
+    fields = text.replace(":", " ").split(" ") if text else []
+    try:
+        labels = np.array([tokens[0] for tokens in rows], dtype=np.float64)
+        indices = np.array(fields[0::2], dtype=np.int64)
+        values = np.array(fields[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    # Each index exceeds the one before it in its row, and a row starts from 0.
+    previous = np.empty_like(indices)
+    previous[1:] = indices[:-1]
+    starts = np.cumsum(counts) - counts
+    previous[starts[counts > 0]] = 0
+    allowed = (labels == 1.0) | (labels == -1.0) | (remap_zero_one & (labels == 0.0))
+    if not (allowed.all() and (indices > previous).all() and np.isfinite(values).all()):
+        return None
+    return np.where(labels == 1.0, 1.0, -1.0), counts, indices, values
+
+
+def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
+                 name: str = "", remap_zero_one: bool = False) -> SvmDataset:
+    """Parse LIBSVM-format lines ``<label> <idx>:<val> ...`` into a dataset.
+
+    File indices are 1-based and strictly increasing per line; they come
+    back 0-based.  Blank lines are skipped, malformed tokens, indices above
+    the int64 range and NaN or infinite values fail hard with the line
+    number and column, and explicit zero values are dropped (the sparse
+    representation never stores them).  The feature count is the given
+    override or the largest index seen.
+
+    The lines are read ``CHUNK_LINES`` at a time.  Each chunk is split once,
+    its labels, indices and values are converted with one numpy call each
+    (which applies Python's ``float`` or ``int`` to every field, so the
+    accepted syntax is Python's), and every rule is checked as an array
+    operation.  Only a chunk that fails a rule or a conversion is rescanned
+    token by token, to raise the ParseError of its first bad token.
+    """
+    lines, parts, line_no = iter(lines), [], 0
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        part = _parse_chunk(chunk, remap_zero_one)
+        if part is None:
+            _locate(chunk, line_no, remap_zero_one)
+        parts.append(part)
+        line_no += len(chunk)
+    if not sum(part[0].size for part in parts):
         raise ParseError(line_no, "no examples in input")
-    max_index = max(indices, default=-1)
+    labels, counts, indices, values = map(np.concatenate, zip(*parts))
+    del parts
+    keep = values != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    indptr = kept_before[np.concatenate(([0], np.cumsum(counts)))]
+    indices, values = indices[keep], values[keep]
+    indices -= 1
+    max_index = int(indices.max()) if indices.size else -1
     if num_features is None and max_index < 0:
         raise ParseError(0, "cannot infer feature count from all-empty examples")
     n = max_index + 1 if num_features is None else int(num_features)
@@ -98,11 +159,11 @@ def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = 
     """Read a LIBSVM file from disk; see :func:`parse_libsvm`."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(0, f"{path}: not valid UTF-8 text ({exc})") from None
     return parse_libsvm(
-        text.splitlines(),
+        lines,
         num_features=num_features,
         name=path.name if name is None else name,
         remap_zero_one=remap_zero_one,

@@ -5,9 +5,12 @@ force, finite differences, and naive accumulation, so the tests check two
 independent routes to the same numbers.
 """
 
+import math
+
 import numpy as np
 
-from blockstoch import Box, L2Ball
+from blockstoch import Box, L2Ball, SvmDataset
+from blockstoch.io import ParseError
 
 
 def surrogate_value(q, x_prev, h, alpha):
@@ -88,3 +91,70 @@ def tracker_by_recursion(omegas, grads):
     for omega, g in zip(omegas, grads):
         h = (1.0 - omega) * h + omega * g
     return h
+
+
+def _reference_label(token, line_no, remap_zero_one):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(line_no, f"unreadable label {token!r}") from None
+    if remap_zero_one and value in (0.0, 1.0):
+        return 1 if value == 1.0 else -1
+    if value in (-1.0, 1.0):
+        return int(value)
+    hint = " (use the 0/1 remap flag?)" if value == 0.0 else ""
+    raise ParseError(line_no, f"label {token!r} is not -1 or +1{hint}")
+
+
+def reference_parse_libsvm(lines, num_features=None, name="", remap_zero_one=False):
+    """The per-token LIBSVM parser: one Python ``int``/``float`` per field,
+    checked as it goes, into flat lists.  It defines the accepted language
+    and the messages that ``blockstoch.io.parse_libsvm`` must reproduce; an
+    index above the int64 range is a bad index."""
+    indptr, indices, values, labels = [0], [], [], []
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        labels.append(_reference_label(tokens[0], line_no, remap_zero_one))
+        previous = 0
+        offset = raw.find(tokens[0]) + len(tokens[0])
+        for token in tokens[1:]:
+            offset = raw.find(token, offset)
+            where = f"token {token!r} (column {offset + 1})"
+            offset += len(token)
+            idx_text, sep, val_text = token.partition(":")
+            if not sep:
+                raise ParseError(line_no, f"{where}: expected <index>:<value>")
+            try:
+                idx = int(idx_text)
+            except ValueError:
+                raise ParseError(line_no, f"{where}: bad index") from None
+            if idx >= 2 ** 63:
+                raise ParseError(line_no, f"{where}: bad index")
+            try:
+                val = float(val_text)
+            except ValueError:
+                raise ParseError(line_no, f"{where}: bad value") from None
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"{where}: value is not finite")
+            if idx < 1:
+                raise ParseError(line_no, f"{where}: indices are 1-based")
+            if idx <= previous:
+                raise ParseError(line_no, f"{where}: indices must be strictly increasing")
+            previous = idx
+            if val != 0.0:
+                indices.append(idx - 1)
+                values.append(val)
+        indptr.append(len(indices))
+    if not labels:
+        raise ParseError(line_no, "no examples in input")
+    max_index = max(indices, default=-1)
+    if num_features is None and max_index < 0:
+        raise ParseError(0, "cannot infer feature count from all-empty examples")
+    n = max_index + 1 if num_features is None else int(num_features)
+    if max_index >= n:
+        raise ParseError(0, f"feature index {max_index + 1} exceeds --features {n}")
+    return SvmDataset(indptr, indices, values, labels, n, name)

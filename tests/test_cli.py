@@ -6,7 +6,7 @@ import pytest
 import blockstoch.io
 from blockstoch.cli import METHODS, main
 from blockstoch.io import read_manifest, read_trace, load_libsvm
-from blockstoch import make_quadratic
+from blockstoch import SvmProblem, make_quadratic
 
 
 def run_cli(*argv):
@@ -84,6 +84,16 @@ class TestRun:
                        "--outdir", str(tmp_path / "r"))
         assert code == 2
         assert "--data" in capsys.readouterr().err
+
+    def test_overflowing_index_is_located_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.libsvm"
+        data.write_text("-1 1:1\n+1 99999999999999999999:1\n", encoding="utf-8")
+        code = run_cli("run", "--method", "proposed", "--data", str(data),
+                       "--outdir", str(tmp_path / "r"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: line 2: token '99999999999999999999:1' (column 4): "
+                       "bad index\n")
 
     def test_requires_exactly_one_problem(self, tmp_path, capsys):
         assert run_cli("run", "--method", "adam",
@@ -302,6 +312,22 @@ class TestCompare:
         for method in METHODS:
             manifest = read_manifest(outdir / f"{method}.manifest.txt")
             assert manifest["test_accuracy"] == manifest["train_accuracy"]
+
+    def test_one_problem_instance_per_invocation(self, svm_file, tmp_path, monkeypatch):
+        built = []
+        make_instance = SvmProblem.instance
+
+        def counting_instance(self):
+            built.append(make_instance(self))
+            return built[-1]
+
+        monkeypatch.setattr(SvmProblem, "instance", counting_instance)
+        assert run_cli("compare", "--data", str(svm_file), "--iters", "20",
+                       "--eval-every", "10", "--outdir", str(tmp_path / "cmp")) == 0
+        assert len(built) == 1
+        assert run_cli("run", "--method", "pegasos", "--data", str(svm_file), "--iters", "20",
+                       "--eval-every", "10", "--outdir", str(tmp_path / "peg")) == 0
+        assert len(built) == 2
 
     def test_compare_needs_svm(self, tmp_path, capsys):
         code = run_cli("compare", "--synthetic", "quad-d4",

@@ -319,6 +319,27 @@ class TestRun:
         x, trace = run(problem.instance(), RunConfig(max_iters=0), x0=np.array([42.0]))
         np.testing.assert_array_equal(x, [10.0])
 
+    def test_step_projects_only_constrained_blocks(self, monkeypatch):
+        calls = {Unconstrained: 0, Box: 0}
+        for cls in calls:
+            def counted(self, p, cls=cls, original=cls.project):
+                calls[cls] += 1
+                return original(self, p)
+            monkeypatch.setattr(cls, "project", counted)
+        quad = make_quadratic(4, n_blocks=2, target=np.full(4, 3.0),
+                              feasible_sets=[Unconstrained(2), Box(-np.ones(2), np.ones(2))])
+        inst = quad.instance()
+
+        def counts(iters):
+            calls.update({Unconstrained: 0, Box: 0})
+            x, _ = run(inst, RunConfig(max_iters=iters, eval_every=max(iters, 1), seed=2))
+            return dict(calls), x
+
+        (start, _), (after, x) = counts(0), counts(50)
+        assert after[Unconstrained] == start[Unconstrained]
+        assert after[Box] == start[Box] + 50
+        assert x[0] > 1.0 and x[2] == 1.0
+
     def test_deterministic_across_repeats(self):
         quad = make_quadratic(5, noise_stddev=1.0, n_blocks=2)
         config = RunConfig(max_iters=400, eval_every=50, seed=17, batch_size=2)

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from blockstoch import SvmDataset, TraceRecord, make_separable_dataset
 from blockstoch.io import (
+    CHUNK_LINES,
     ParseError,
     dataset_checksum,
     libsvm_lines,
@@ -27,6 +29,29 @@ def datasets_equal(a: SvmDataset, b: SvmDataset) -> bool:
     return a.num_features == b.num_features and all(
         np.array_equal(getattr(a, name), getattr(b, name))
         for name in ("indptr", "indices", "values", "labels"))
+
+
+def dataset_digest(ds: SvmDataset) -> tuple:
+    """Feature count, name, and the dtype and bytes of each array."""
+    return (ds.num_features, ds.name) + tuple(
+        (getattr(ds, a).dtype.str, getattr(ds, a).tobytes())
+        for a in ("indptr", "indices", "values", "labels"))
+
+
+def parse_outcome(parse, lines, **kwargs):
+    """The ParseError message, or the parsed dataset's digest."""
+    try:
+        return dataset_digest(parse(lines, **kwargs))
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_parses_like_reference(lines, **kwargs):
+    """The parser returns the reference parser's arrays bit for bit, or raises
+    a ParseError with its message; any other exception escapes."""
+    lines = list(lines)
+    want = parse_outcome(oracles.reference_parse_libsvm, lines, **kwargs)
+    assert parse_outcome(parse_libsvm, lines, **kwargs) == want, (lines[:3], kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +179,10 @@ class TestParseLibsvm:
 
     def test_fuzz_never_crashes(self):
         rng = np.random.default_rng(1234)
-        outcomes = {"ok": 0, "err": 0}
         for _ in range(10_000):
             size = int(rng.integers(0, 60))
             blob = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-            text = blob.decode("latin-1")
-            try:
-                parse_libsvm(text.splitlines())
-                outcomes["ok"] += 1
-            except ParseError:
-                outcomes["err"] += 1
-        assert sum(outcomes.values()) == 10_000
+            assert_parses_like_reference(blob.decode("latin-1").splitlines())
 
     def test_fuzz_structured_lines(self):
         # Near-valid lines: mutate one character of a valid line.
@@ -174,16 +192,100 @@ class TestParseLibsvm:
             pos = int(rng.integers(0, len(base)))
             char = chr(int(rng.integers(32, 127)))
             line = base[:pos] + char + base[pos + 1:]
-            try:
-                parse_libsvm([line])
-            except ParseError:
-                pass
+            assert_parses_like_reference([line])
+            assert_parses_like_reference(["-1 1:1", "", line, "+1 3:2"], remap_zero_one=True)
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "9223372036854775808"])
+    def test_index_above_int64_is_located(self, index):
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(["-1 1:1", f"+1 2:1 {index}:1"])
+        assert str(info.value) == f"line 2: token '{index}:1' (column 8): bad index"
+
+    def test_largest_int64_index_is_read(self):
+        ds = parse_libsvm(["+1 9223372036854775807:2"])
+        assert ds.num_features == 2 ** 63 - 1
+        assert ds.indices.tolist() == [2 ** 63 - 2]
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\xff\xfe\x00broken")
         with pytest.raises(ParseError, match="UTF-8"):
             load_libsvm(path)
+
+
+STRUCTURAL_LINES = [
+    "+1 1:2:3 45", "1:2:3 45", "+1 1:1 2", "+1 2 1:1", "1:1 2:2", "+1 5:", "+1 :5",
+    "+1 :", "+1 1::2", "+1 1:1:", "+1 1_0:2", "+1 1__0:2", "+1 _1:2", "+1 1:1_5",
+    "+1 １:1", "+1 1：1", "+1 ٣:1", "+1 1:0x1", "+1 0x1:1", "+1 1:-0", "+1 1:+0.0",
+    "+1 +5:1", "+1 -0:1", "+1 007:1", "+1 1:1e-400", "+1 1:1e999", "+1 1:-1e999",
+    "+1 1:nan", "+1 1:infinity", "+1 1.0:1", "+1 1e1:1", "+1\xa01:1\xa02:3",
+    "+1\x1c1:1\x1c\x1c2:2", "+1\t1:1\t 2:2 ", "+1 1:1\r", "\r", "", "   ", "\t",
+    "+1 99999999999999999999:1", "+1 -99999999999999999999:1",
+    "+1 9223372036854775807:1", "+1 9223372036854775808:1", "+1 3:1 3:2",
+    "+1 3:1 2:1", "+1 0:1", "+1 -3:1", "+1 2:0 1:1", "0 1:1", "-0 1:1", "1 1:1",
+    "+1", "-1.0", "2 1:1", "nan 1:1", "inf", "1_0 1:1", "+１ 1:1", "spam",
+    "+1 1:1 \u2028 2:2", "+1 1:\ud800", "+1 \ud800:1", "+1 1:0", "-1 3:0 4:0",
+]
+
+
+class TestParserMatchesReference:
+    """The vectorized parser against the per-token reference parser of
+    tests/oracles.py, which the fuzz tests above also compare with."""
+
+    @pytest.mark.parametrize("remap", [False, True])
+    @pytest.mark.parametrize("features", [None, 5])
+    def test_structural_lines(self, features, remap):
+        kwargs = {"num_features": features, "remap_zero_one": remap}
+        for line in STRUCTURAL_LINES:
+            assert_parses_like_reference([line], **kwargs)
+            assert_parses_like_reference(["+1 2:0.5", line, "-1 1:2"], **kwargs)
+
+    def test_structural_corpus_in_one_input(self):
+        for remap in (False, True):
+            assert_parses_like_reference(STRUCTURAL_LINES, remap_zero_one=remap)
+            assert_parses_like_reference(STRUCTURAL_LINES[::-1], remap_zero_one=remap)
+
+    @staticmethod
+    def long_input(rows):
+        rng = np.random.default_rng(rows)
+        lines = []
+        for row in range(rows):
+            cols = np.sort(rng.choice(40, size=int(rng.integers(0, 7)), replace=False)) + 1
+            vals = np.round(rng.standard_normal(cols.size), int(rng.integers(0, 17)))
+            tokens = [f"{c}:{float(v)!r}" for c, v in zip(cols, vals)]
+            lines.append(" ".join([str(rng.choice(["+1", "-1", "1", "-1.0"]))] + tokens))
+            if row % 97 == 0:
+                lines.append("  " if row % 2 else "")
+        return lines
+
+    def test_multi_chunk_input(self):
+        lines = self.long_input(3 * CHUNK_LINES)
+        assert len(lines) > 3 * CHUNK_LINES
+        assert parse_libsvm(lines).m == 3 * CHUNK_LINES
+        assert_parses_like_reference(lines)
+        assert_parses_like_reference(lines, num_features=40, name="long")
+
+    @pytest.mark.parametrize("bad", ["+1 1:2:3 45", "+1 4:1 2:1", "+1 1:nan", "2 1:1",
+                                     "+1 99999999999999999999:1", "+1 5:"])
+    def test_first_fault_in_a_later_chunk(self, bad):
+        for position in (CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, CHUNK_LINES + 100,
+                         2 * CHUNK_LINES - 1):
+            lines = self.long_input(2 * CHUNK_LINES + 50)
+            lines[position] = bad
+            lines[position + 40] = "+1 x:1"
+            assert_parses_like_reference(lines)
+            with pytest.raises(ParseError) as info:
+                parse_libsvm(lines)
+            assert info.value.line_no == position + 1
+
+    def test_file_with_crlf_and_blank_lines(self, tmp_path):
+        lines = self.long_input(CHUNK_LINES + 200)
+        path = tmp_path / "crlf.libsvm"
+        path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("utf-8"))
+        text = path.read_text(encoding="utf-8")
+        want = oracles.reference_parse_libsvm(text.splitlines(), name=path.name)
+        got = load_libsvm(path)
+        assert got.m == CHUNK_LINES + 200 and dataset_digest(got) == dataset_digest(want)
 
 
 # ---------------------------------------------------------------------------
