@@ -9,7 +9,9 @@ and prints the raw bytes of the final iterates and the trace records
 configuration and method, whether the two trees agree bit for bit, and
 exits 1 if any differ.  The configurations are the benchmark's svm-loop
 shape (planted 1000 x 20 SVM, 4 blocks, B = 1, schedule (0.51, 0.75,
-5.0)), a Box/L2Ball quadratic at batch 4, and a parsed-sparse SVM at
+5.0)), a Box/L2Ball quadratic at batch 4, a quadratic at batch 4 with
+one Unconstrained, one Box and one L2Ball block (so Adam's projected path
+runs with an unconstrained block in it), and a parsed-sparse SVM at
 batch 4 in 2 blocks: a fixed 2600-row LIBSVM corpus with CRLF line ends,
 blank lines, rows of varying length, empty rows and explicit ``k:0``
 tokens, which the worker writes, reads back with ``load_libsvm`` and
@@ -27,9 +29,9 @@ WORKER = r'''
 import json, sys, tempfile
 from pathlib import Path
 import numpy as np
-from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, make_quadratic,
-                        make_separable_dataset, run, run_adam, run_averaged_sca,
-                        run_pegasos)
+from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, Unconstrained,
+                        make_quadratic, make_separable_dataset, run, run_adam,
+                        run_averaged_sca, run_pegasos)
 from blockstoch.io import load_libsvm, subsample
 
 def digest(x, trace):
@@ -42,6 +44,9 @@ svm = SvmProblem.with_blocks(ds, 1e-2, 4)
 quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
                       feasible_sets=[Box(-np.ones(3), np.ones(3)),
                                      L2Ball(np.array([0.05, -0.02, 0.0]), 0.8)])
+mixed = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.0, 9), n_blocks=3,
+                       feasible_sets=[Unconstrained(3), Box(-np.ones(3), np.full(3, 0.5)),
+                                      L2Ball(np.array([0.1, 0.0, -0.1]), 1.2)])
 rng = np.random.default_rng(11)
 lines = []
 for row in range(2600):
@@ -60,6 +65,7 @@ with tempfile.TemporaryDirectory() as tmp:
 for name, problem, schedule, batch in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
         ("quad-box-ball", quad, Schedule(), 4),
+        ("quad-mixed", mixed, Schedule(), 4),
         ("parsed-sparse", parsed, Schedule(), 4)):
     inst = problem.instance()
     config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000, eval_every=100,

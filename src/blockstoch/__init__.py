@@ -20,7 +20,6 @@ from .core import (
     project,
     run,
     stationarity_residual,
-    update_tracker,
 )
 from .schedules import Schedule, ScheduleError, SequenceSchedule
 from .problems import (
@@ -39,14 +38,12 @@ from .problems import (
 )
 from .baselines import (
     AdamParams,
-    BaselineConfig,
     adam_step,
     averaging_weight,
     check_rho_avg,
     pegasos_step,
     run_adam,
     run_averaged_sca,
-    run_baseline,
     run_pegasos,
 )
 

@@ -14,7 +14,7 @@ and honours the same termination rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -23,7 +23,6 @@ from .core import (
     ProblemInstance,
     RunConfig,
     TraceRecord,
-    Unconstrained,
     Vector,
     _check_finite,
     block_step,
@@ -46,32 +45,6 @@ class AdamParams:
             raise ValueError("betas must lie in [0, 1)")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Which baseline to run, with its method-specific knobs.
-
-    ``lam`` (pegasos) defaults to the SVM problem's own regularizer;
-    ``rho_avg`` (avg-sca) is the averaging-weight exponent, which must
-    exceed the schedule's alpha exponent so the weight vanishes faster than
-    the step size.  rho_avg = 0.0 pins the weight to 1, making the method
-    coincide with the core iterate (used for equivalence checks).
-    """
-
-    kind: str
-    run: RunConfig
-    lam: Optional[float] = None
-    adam: AdamParams = field(default_factory=AdamParams)
-    rho_avg: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("pegasos", "adam", "avg-sca"):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.kind == "avg-sca":
-            check_rho_avg(self.rho_avg, self.run.schedule)
 
 
 def check_rho_avg(rho_avg: float, schedule) -> None:
@@ -176,8 +149,7 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
     slices = inst.block_slices
-    constrained = any(not isinstance(b.feasible_set, Unconstrained) for b in inst.blocks)
-    project = inst.project if constrained else None
+    project = inst.project if inst.constrained_blocks else None
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w, m, v
@@ -214,16 +186,3 @@ def run_averaged_sca(problem: Union[ProblemInstance, SvmProblem], config: RunCon
 
     return drive(inst, config, x_avg, step, h, sample_log)
 
-
-def run_baseline(problem: Union[ProblemInstance, SvmProblem], cfg: BaselineConfig,
-                 sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
-    """Dispatch a configured baseline on the given problem."""
-    if cfg.kind == "pegasos":
-        if not isinstance(problem, SvmProblem):
-            raise TypeError("pegasos runs on SvmProblem only")
-        if cfg.lam is not None and cfg.lam != problem.lam:
-            problem = SvmProblem(problem.dataset, cfg.lam, problem.block_ranges)
-        return run_pegasos(problem, cfg.run, sample_log)
-    if cfg.kind == "adam":
-        return run_adam(problem, cfg.run, cfg.adam, sample_log)
-    return run_averaged_sca(problem, cfg.run, cfg.rho_avg, sample_log)

@@ -104,19 +104,22 @@ def _load_problem(args):
         raise UsageError(f"--blocks: need at least 1 block, got {args.blocks}")
     if args.data is None:
         for flag, value in (("--test-data", args.test_data), ("--subsample", args.subsample),
+                            ("--subsample-seed", args.subsample_seed),
                             ("--features", args.features), ("--lambda", args.lam),
                             ("--remap-labels", args.remap_labels)):
             if value is not None and value is not False:
                 raise UsageError(f"{flag} applies to --data only, not to --synthetic")
         instance, extras = _parse_synthetic(args)
         return None, instance, extras
+    if args.subsample is None and args.subsample_seed is not None:
+        raise UsageError("--subsample-seed applies to --subsample only")
     path = Path(args.data)
     if not path.is_file():
         raise UsageError(f"--data: no such file: {path}")
     ds = dataio.load_libsvm(path, num_features=args.features,
                             remap_zero_one=args.remap_labels)
     if args.subsample is not None:
-        ds = dataio.subsample(ds, args.subsample, args.subsample_seed)
+        ds = dataio.subsample(ds, args.subsample, args.subsample_seed or 0)
     lam = _resolve_lambda(args, ds.name)
     problem = SvmProblem.with_blocks(ds, lam, min(args.blocks, ds.num_features))
     extras = {
@@ -353,7 +356,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="accept 0/1 labels, remapped to -1/+1")
     g.add_argument("--subsample", type=float, default=None, metavar="FRAC",
                    help="train on a uniform fraction of the dataset")
-    g.add_argument("--subsample-seed", type=int, default=0)
+    g.add_argument("--subsample-seed", type=int, default=None,
+                   help="seed of the --subsample draw (default 0)")
     g.add_argument("--blocks", type=int, default=4,
                    help="number of contiguous variable blocks")
 

@@ -6,6 +6,16 @@ every block through a proximal step (projection of a scaled tracker step
 onto the block's feasible set).  Block updates within one iteration are
 mutually independent: each reads the previous iterate and writes only its
 own slice.  One step runs them as a single serial pass.
+
+Per block the step is x_l <- P_l(x_l - alpha_k h_l), the minimizer of the
+surrogate <h_l, y - x_l> + ||y - x_l||^2 / (2 alpha_k) over the block's set.
+Successive convex approximation (Yang, Scutari & Palomar, SPAWC 2013;
+Liu, Lau & Kananian, IEEE TSP 2019) splits it in two: the surrogate
+minimizer x_hat_l = P_l(x_l - h_l / (2 tau)) with a fixed proximal weight
+tau, then the smoothing step x_l <- x_l + gamma_k (x_hat_l - x_l).  On an
+Unconstrained block the two forms coincide with alpha_k = gamma_k / (2 tau).
+Where a bound is active they differ: here alpha_k scales the move before
+the projection, there gamma_k shortens the projected move.
 """
 
 from __future__ import annotations
@@ -63,9 +73,6 @@ class Unconstrained:
             raise ValueError(f"point has dim {p.size}, set has dim {self.dim}")
         return p.copy()
 
-    def contains(self, p, tol: float = 0.0) -> bool:
-        return np.asarray(p).size == self.dim
-
     def centroid(self) -> Vector:
         return np.zeros(self.dim)
 
@@ -103,10 +110,6 @@ class Box:
         if p.size != self.dim:
             raise ValueError(f"point has dim {p.size}, set has dim {self.dim}")
         return np.clip(p, self.lower, self.upper)
-
-    def contains(self, p, tol: float = 1e-12) -> bool:
-        p = np.asarray(p)
-        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
     def centroid(self) -> Vector:
         # Midpoint where both bounds are finite, else the finite bound, else 0.
@@ -146,9 +149,6 @@ class L2Ball:
         if dist <= self.radius:
             return p.copy()
         return self.center + (self.radius / dist) * offset
-
-    def contains(self, p, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(np.asarray(p) - self.center)) <= self.radius + tol
 
     def centroid(self) -> Vector:
         return self.center.copy()
@@ -234,14 +234,21 @@ class ProblemInstance:
         return tuple((l, sl, (b.dim,))
                      for l, (sl, b) in enumerate(zip(self.block_slices, self.blocks)))
 
+    @cached_property
+    def constrained_blocks(self) -> tuple[tuple[slice, FeasibleSet], ...]:
+        """(slice, set) of every block whose set is not ``Unconstrained``:
+        the blocks a projection changes.  The rest project to themselves."""
+        return tuple((sl, b.feasible_set) for sl, b in zip(self.block_slices, self.blocks)
+                     if not isinstance(b.feasible_set, Unconstrained))
+
     def project(self, x) -> Vector:
         """Project a joint vector onto the product of block sets."""
         x = _as_vector(x, "x")
         if x.size != self.dim:
             raise ValueError(f"x has dim {x.size}, problem has dim {self.dim}")
         out = x.copy()
-        for spec, sl in zip(self.blocks, self.block_slices):
-            out[sl] = spec.feasible_set.project(x[sl])
+        for sl, feasible_set in self.constrained_blocks:
+            out[sl] = feasible_set.project(x[sl])
         return out
 
     def default_start(self) -> Vector:
@@ -338,20 +345,6 @@ class IterationInfo:
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
-
-def update_tracker(h_prev, g_batch, omega_k: float) -> Vector:
-    """One tracker recursion step: (1 - omega_k) * h_prev + omega_k * g_batch.
-
-    Inputs are left unmodified; a fresh array is returned.
-    """
-    h_prev = _as_vector(h_prev, "h_prev")
-    g = _as_vector(g_batch, "g_batch")
-    if h_prev.shape != g.shape:
-        raise ValueError(f"layout mismatch: {h_prev.shape} vs {g.shape}")
-    if not 0.0 < omega_k <= 1.0:
-        raise ValueError(f"omega_k must lie in (0, 1], got {omega_k}")
-    return (1.0 - omega_k) * h_prev + omega_k * g
-
 
 def explicit_weights(omegas) -> Vector:
     """Per-sample weights of the tracker's equivalent explicit sum.
@@ -492,13 +485,10 @@ def block_step(problem: ProblemInstance, x: Vector, h: Vector) -> Step:
 
     One serial pass: gather the batch-mean gradient g at the previous
     iterate, fold it into the tracker h (updated in place), form
-    x - alpha_k h and project each block's slice onto its own set.  An
-    ``Unconstrained`` block's projection is the identity, so its slice is
-    left as formed.
+    x - alpha_k h and project each constrained block's slice onto its own
+    set (:attr:`ProblemInstance.constrained_blocks`).
     """
-    slices = problem.block_slices
-    blocks = tuple((sl, b.feasible_set) for sl, b in zip(slices, problem.blocks)
-                   if not isinstance(b.feasible_set, Unconstrained))
+    slices, blocks = problem.block_slices, problem.constrained_blocks
     g = np.empty(problem.dim)
 
     def step(batch, k: int, omega_k: float, alpha_k: float) -> Vector:

@@ -16,10 +16,11 @@ from .problems import SvmDataset
 
 
 class ParseError(ValueError):
-    """Malformed dataset input; carries the 1-based line number."""
+    """Malformed dataset input; carries the 1-based line number, or None for
+    a fault of the whole input."""
 
-    def __init__(self, line_no: int, detail: str):
-        super().__init__(f"line {line_no}: {detail}")
+    def __init__(self, line_no: Optional[int], detail: str):
+        super().__init__(detail if line_no is None else f"line {line_no}: {detail}")
         self.line_no = line_no
         self.detail = detail
 
@@ -42,7 +43,8 @@ def _parse_label(token: str, line_no: int, remap_zero_one: bool) -> int:
     raise ParseError(line_no, f"label {token!r} is not -1 or +1{hint}")
 
 
-def _locate(chunk: list[str], line_no: int, remap_zero_one: bool) -> NoReturn:
+def _locate(chunk: list[str], line_no: int, remap_zero_one: bool,
+            num_features: Optional[int]) -> NoReturn:
     """Scan a chunk that failed a vectorized rule token by token and raise the
     ParseError of its first bad token; ``line_no`` is the line before it."""
     for line_no, raw in enumerate(chunk, start=line_no + 1):
@@ -75,12 +77,16 @@ def _locate(chunk: list[str], line_no: int, remap_zero_one: bool) -> NoReturn:
                 raise ParseError(line_no, f"{where}: indices are 1-based")
             if idx <= previous:
                 raise ParseError(line_no, f"{where}: indices must be strictly increasing")
+            if num_features is not None and idx > num_features and val != 0.0:
+                raise ParseError(line_no, f"{where}: feature index {idx} exceeds "
+                                          f"--features {num_features}")
             previous = idx
     raise RuntimeError(f"lines {line_no - len(chunk) + 1}-{line_no}: a vectorized rule "
                        "failed but the token scan found no fault")
 
 
-def _parse_chunk(chunk: list[str], remap_zero_one: bool) -> Optional[tuple]:
+def _parse_chunk(chunk: list[str], remap_zero_one: bool,
+                 num_features: Optional[int]) -> Optional[tuple]:
     """(labels, entries per row, 1-based indices, values) of one chunk's
     non-blank lines, explicit zeros included; None if any rule fails."""
     rows = list(filter(None, map(str.split, chunk)))
@@ -108,6 +114,8 @@ def _parse_chunk(chunk: list[str], remap_zero_one: bool) -> Optional[tuple]:
     allowed = (labels == 1.0) | (labels == -1.0) | (remap_zero_one & (labels == 0.0))
     if not (allowed.all() and (indices > previous).all() and np.isfinite(values).all()):
         return None
+    if num_features is not None and ((indices > num_features) & (values != 0.0)).any():
+        return None
     return np.where(labels == 1.0, 1.0, -1.0), counts, indices, values
 
 
@@ -120,7 +128,9 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     the int64 range and NaN or infinite values fail hard with the line
     number and column, and explicit zero values are dropped (the sparse
     representation never stores them).  The feature count is the given
-    override or the largest index seen.
+    override, which a stored index above it fails with its line and
+    column, or else the largest index seen.  Faults of the whole input (no
+    examples, or no index to infer the feature count from) name no line.
 
     The lines are read ``CHUNK_LINES`` at a time.  Each chunk is split once,
     its labels, indices and values are converted with one numpy call each
@@ -131,13 +141,13 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     """
     lines, parts, line_no = iter(lines), [], 0
     while chunk := list(islice(lines, CHUNK_LINES)):
-        part = _parse_chunk(chunk, remap_zero_one)
+        part = _parse_chunk(chunk, remap_zero_one, num_features)
         if part is None:
-            _locate(chunk, line_no, remap_zero_one)
+            _locate(chunk, line_no, remap_zero_one, num_features)
         parts.append(part)
         line_no += len(chunk)
     if not sum(part[0].size for part in parts):
-        raise ParseError(line_no, "no examples in input")
+        raise ParseError(None, "no examples in input")
     labels, counts, indices, values = map(np.concatenate, zip(*parts))
     del parts
     keep = values != 0.0
@@ -145,13 +155,11 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     indptr = kept_before[np.concatenate(([0], np.cumsum(counts)))]
     indices, values = indices[keep], values[keep]
     indices -= 1
-    max_index = int(indices.max()) if indices.size else -1
-    if num_features is None and max_index < 0:
-        raise ParseError(0, "cannot infer feature count from all-empty examples")
-    n = max_index + 1 if num_features is None else int(num_features)
-    if max_index >= n:
-        raise ParseError(0, f"feature index {max_index + 1} exceeds --features {n}")
-    return SvmDataset(indptr, indices, values, labels, n, name)
+    if num_features is None:
+        if not indices.size:
+            raise ParseError(None, "cannot infer feature count from all-empty examples")
+        num_features = int(indices.max()) + 1
+    return SvmDataset(indptr, indices, values, labels, int(num_features), name)
 
 
 def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = None,
@@ -161,7 +169,7 @@ def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = 
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(0, f"{path}: not valid UTF-8 text ({exc})") from None
+        raise ParseError(None, f"{path}: not valid UTF-8 text ({exc})") from None
     return parse_libsvm(
         lines,
         num_features=num_features,

@@ -81,24 +81,6 @@ class Schedule:
             raise ValueError(f"iteration index must be >= 1, got {k}")
         return self.alpha_scale * float(k + self.alpha_offset) ** (-self.alpha_exponent)
 
-    def omega_sequence(self, k_max: int) -> np.ndarray:
-        """omega(1..k_max) as an array, equal to omega(k) bit for bit."""
-        out = _power_terms(k_max, self.omega_offset, self.omega_exponent)
-        out[0] = 1.0
-        return out
-
-    def alpha_sequence(self, k_max: int) -> np.ndarray:
-        """alpha(1..k_max) as an array, equal to alpha(k) bit for bit."""
-        return self.alpha_scale * _power_terms(k_max, self.alpha_offset, self.alpha_exponent)
-
-
-def _power_terms(k_max: int, offset: int, exponent: float) -> np.ndarray:
-    """float(k + offset) ** (-exponent) for k = 1..k_max.  Powers of Python
-    floats use the C library's pow, as the scalar schedules do; numpy's
-    float64 power differs from it in the last bit on a few percent of terms."""
-    bases = np.arange(1 + offset, k_max + 1 + offset, dtype=np.float64).astype(object)
-    return (bases ** (-exponent)).astype(np.float64)
-
 
 SCREEN_PREFIX = 10 ** 6
 

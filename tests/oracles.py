@@ -112,7 +112,6 @@ def reference_parse_libsvm(lines, num_features=None, name="", remap_zero_one=Fal
     and the messages that ``blockstoch.io.parse_libsvm`` must reproduce; an
     index above the int64 range is a bad index."""
     indptr, indices, values, labels = [0], [], [], []
-    line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -144,17 +143,17 @@ def reference_parse_libsvm(lines, num_features=None, name="", remap_zero_one=Fal
                 raise ParseError(line_no, f"{where}: indices are 1-based")
             if idx <= previous:
                 raise ParseError(line_no, f"{where}: indices must be strictly increasing")
+            if num_features is not None and idx > num_features and val != 0.0:
+                raise ParseError(line_no, f"{where}: feature index {idx} exceeds "
+                                          f"--features {num_features}")
             previous = idx
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)
         indptr.append(len(indices))
     if not labels:
-        raise ParseError(line_no, "no examples in input")
-    max_index = max(indices, default=-1)
-    if num_features is None and max_index < 0:
-        raise ParseError(0, "cannot infer feature count from all-empty examples")
-    n = max_index + 1 if num_features is None else int(num_features)
-    if max_index >= n:
-        raise ParseError(0, f"feature index {max_index + 1} exceeds --features {n}")
+        raise ParseError(None, "no examples in input")
+    if num_features is None and not indices:
+        raise ParseError(None, "cannot infer feature count from all-empty examples")
+    n = max(indices) + 1 if num_features is None else int(num_features)
     return SvmDataset(indptr, indices, values, labels, n, name)

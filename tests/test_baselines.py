@@ -5,7 +5,6 @@ import pytest
 
 from blockstoch import (
     AdamParams,
-    BaselineConfig,
     BlockSpec,
     L2Ball,
     ProblemInstance,
@@ -15,13 +14,13 @@ from blockstoch import (
     Unconstrained,
     adam_step,
     averaging_weight,
+    check_rho_avg,
     make_quadratic,
     make_separable_dataset,
     pegasos_step,
     run,
     run_adam,
     run_averaged_sca,
-    run_baseline,
     run_pegasos,
     svm_sample_grad,
 )
@@ -225,38 +224,10 @@ class TestFullRuns:
             assert [b.tolist() for b in log] == reference, name
 
 
-class TestBaselineConfig:
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(kind="sgd", run=RunConfig())
-
+class TestCheckRhoAvg:
     def test_rho_avg_must_beat_alpha_exponent(self):
-        cfg = RunConfig(schedule=Schedule(0.6, 0.9))
+        schedule = Schedule(0.6, 0.9)
         with pytest.raises(ValueError):
-            BaselineConfig(kind="avg-sca", run=cfg, rho_avg=0.8)
-        BaselineConfig(kind="avg-sca", run=cfg, rho_avg=1.0)
-        BaselineConfig(kind="avg-sca", run=cfg, rho_avg=0.0)
-
-    def test_dispatch(self):
-        ds, _ = make_separable_dataset(40, 5, seed=17)
-        problem = SvmProblem.with_blocks(ds, 1e-2, 1)
-        run_cfg = RunConfig(max_iters=100, eval_every=50, seed=2)
-        for kind in ("pegasos", "adam", "avg-sca"):
-            x, trace = run_baseline(problem, BaselineConfig(kind=kind, run=run_cfg))
-            assert x.shape == (5,)
-            assert [r.k for r in trace] == [50, 100]
-
-    def test_pegasos_needs_svm(self):
-        quad = make_quadratic(2)
-        cfg = BaselineConfig(kind="pegasos", run=RunConfig(max_iters=10, eval_every=5))
-        with pytest.raises(TypeError):
-            run_baseline(quad.instance(), cfg)
-
-    def test_pegasos_lambda_override(self):
-        ds, _ = make_separable_dataset(40, 5, seed=19)
-        problem = SvmProblem.with_blocks(ds, 1e-2, 1)
-        run_cfg = RunConfig(max_iters=50, eval_every=50, seed=2)
-        base = BaselineConfig(kind="pegasos", run=run_cfg, lam=1e-1)
-        x_override, _ = run_baseline(problem, base)
-        x_direct, _ = run_pegasos(SvmProblem.with_blocks(ds, 1e-1, 1), run_cfg)
-        np.testing.assert_array_equal(x_override, x_direct)
+            check_rho_avg(0.8, schedule)
+        check_rho_avg(1.0, schedule)
+        check_rho_avg(0.0, schedule)

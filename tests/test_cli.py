@@ -95,6 +95,33 @@ class TestRun:
         assert err == ("error: line 2: token '99999999999999999999:1' (column 4): "
                        "bad index\n")
 
+    @pytest.mark.parametrize("train, test, flags, err", [
+        ("-1 1:1\n+1 2:1 12:1\n", None, ("--features", "10"),
+         "line 2: token '12:1' (column 8): feature index 12 exceeds --features 10"),
+        ("-1 1:1\n+1 2:1\n", "+1 1:1\n\n-1 3:1\n", (),
+         "line 3: token '3:1' (column 4): feature index 3 exceeds --features 2"),
+        ("-1\n\n+1\n", None, (), "cannot infer feature count from all-empty examples"),
+        ("\n  \n", None, (), "no examples in input"),
+    ], ids=["features", "test-data", "all-empty", "blank"])
+    def test_parse_error_line(self, tmp_path, capsys, train, test, flags, err):
+        data = tmp_path / "train.libsvm"
+        data.write_text(train, encoding="utf-8")
+        if test is not None:
+            (tmp_path / "test.libsvm").write_text(test, encoding="utf-8")
+            flags += ("--test-data", str(tmp_path / "test.libsvm"))
+        code = run_cli("run", "--method", "proposed", "--data", str(data), *flags,
+                       "--outdir", str(tmp_path / "r"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_non_utf8_data_names_the_file_not_a_line(self, tmp_path, capsys):
+        data = tmp_path / "junk.libsvm"
+        data.write_bytes(b"+1 1:1\n\xff\n")
+        code = run_cli("run", "--method", "proposed", "--data", str(data),
+                       "--outdir", str(tmp_path / "r"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}: not valid UTF-8 text (")
+
     def test_requires_exactly_one_problem(self, tmp_path, capsys):
         assert run_cli("run", "--method", "adam",
                        "--outdir", str(tmp_path / "r")) == 2
@@ -166,6 +193,24 @@ class TestRun:
         manifest = read_manifest(outdir / "adam.manifest.txt")
         assert manifest["m"] == "40"
 
+    def test_subsample_seed_defaults_to_zero(self, svm_file, tmp_path):
+        traces = []
+        for seed in ((), ("--subsample-seed", "0"), ("--subsample-seed", "5")):
+            outdir = tmp_path / f"out{len(traces)}"
+            assert run_cli("run", "--method", "adam", "--data", str(svm_file),
+                           "--subsample", "0.5", *seed, "--iters", "40", "--eval-every", "20",
+                           "--outdir", str(outdir)) == 0
+            traces.append((outdir / "adam.trace.csv").read_bytes())
+        assert traces[0] == traces[1] != traces[2]
+
+    def test_subsample_seed_needs_subsample(self, svm_file, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", "adam", "--data", str(svm_file),
+                       "--subsample-seed", "5", "--outdir", str(outdir))
+        assert code == 2
+        assert "--subsample-seed applies to --subsample only" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_elapsed_zeroed_unless_requested(self, svm_file, tmp_path):
         plain = tmp_path / "plain"
         timed = tmp_path / "timed"
@@ -212,6 +257,7 @@ class TestRun:
     @pytest.mark.parametrize("flags", [
         ("--test-data", "/nonexistent/test.libsvm"),
         ("--subsample", "0.5"),
+        ("--subsample-seed", "5"),
         ("--features", "9"),
         ("--remap-labels",),
         ("--lambda", "3"),

@@ -28,7 +28,6 @@ from blockstoch import (
     run_averaged_sca,
     run_pegasos,
     stationarity_residual,
-    update_tracker,
 )
 
 import oracles
@@ -39,38 +38,43 @@ def records_without_time(trace):
 
 
 # ---------------------------------------------------------------------------
-# update_tracker
+# The tracker recursion, as run applies it
 # ---------------------------------------------------------------------------
 
-class TestUpdateTracker:
-    def test_full_weight_copies_gradient(self):
-        v = np.array([3.0, -1.0, 2.5])
-        np.testing.assert_array_equal(update_tracker(np.zeros(3), v, 1.0), v)
+class TestTracker:
+    """h^k = (1 - omega_k) h^{k-1} + omega_k g^k on the joint vector, where
+    g^k is the batch gradient that run gathers at iteration k."""
 
-    def test_fixed_point(self):
-        v = np.array([1.0, 2.0])
-        for omega in (0.1, 0.5, 1.0):
-            np.testing.assert_allclose(update_tracker(v, v, omega), v)
+    @staticmethod
+    def recorded_run(iters):
+        """(g^k, (omega_k, h^k)) for k = 1..iters of a two-block run."""
+        quad = make_quadratic(5, noise_stddev=1.0, target=np.linspace(-1.0, 1.0, 5),
+                              n_blocks=2,
+                              feasible_sets=[Box(-np.ones(2), np.ones(2)), Unconstrained(3)])
+        inst = quad.instance()
+        grads, trackers = [], []
 
-    def test_convex_combination_value(self):
-        out = update_tracker([2.0, 0.0], [0.0, 2.0], 0.25)
-        np.testing.assert_array_equal(out, [1.5, 0.5])
+        def batch_grad(batch, x, l):
+            if l == 0:
+                grads.append(np.empty(inst.dim))
+            grads[-1][inst.block_slices[l]] = g_l = inst.batch_grad(batch, x, l)
+            return g_l
 
-    def test_inputs_unmodified(self):
-        h = np.array([1.0, 1.0])
-        g = np.array([2.0, 2.0])
-        update_tracker(h, g, 0.3)
-        np.testing.assert_array_equal(h, [1.0, 1.0])
-        np.testing.assert_array_equal(g, [2.0, 2.0])
+        run(replace(inst, batch_grad=batch_grad),
+            RunConfig(max_iters=iters, eval_every=iters, seed=3, batch_size=2),
+            iteration_callback=lambda info: trackers.append((info.omega, info.h.copy())))
+        return list(zip(grads, trackers))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            update_tracker(np.zeros(2), np.zeros(3), 0.5)
+    def test_first_tracker_is_first_batch_gradient(self):
+        [(g1, (omega1, h1))] = self.recorded_run(1)
+        assert omega1 == 1.0
+        assert h1.tobytes() == g1.tobytes()
 
-    @pytest.mark.parametrize("omega", [0.0, -0.1, 1.5])
-    def test_bad_omega(self, omega):
-        with pytest.raises(ValueError):
-            update_tracker(np.zeros(2), np.zeros(2), omega)
+    def test_each_tracker_mixes_in_the_batch_gradient(self):
+        steps = self.recorded_run(50)
+        for (_, (_, h_prev)), (g, (omega, h)) in zip(steps, steps[1:]):
+            assert 0.0 < omega < 1.0
+            assert h.tobytes() == ((1.0 - omega) * h_prev + omega * g).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +259,75 @@ class TestMinimizeSurrogate:
 
 
 # ---------------------------------------------------------------------------
+# The engine's step against the two-part SCA step
+# ---------------------------------------------------------------------------
+
+TAU = 2.0
+
+
+def sca_step(feasible_set, x_prev, h, alpha):
+    """x_hat = P(x - h / (2 tau)), then x + gamma (x_hat - x) with the
+    gamma = 2 tau alpha at which the two forms agree when unconstrained."""
+    x_hat = project(feasible_set, x_prev - h / (2.0 * TAU))
+    return x_prev + 2.0 * TAU * alpha * (x_hat - x_prev)
+
+
+class TestScaForm:
+    # alpha_scale 0.2 keeps gamma_k = 2 tau alpha_k at most 0.8, inside SCA's (0, 1].
+    SCHEDULE = Schedule(alpha_scale=0.2)
+
+    def test_unconstrained_blocks_take_the_sca_step(self):
+        quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6),
+                              n_blocks=3)
+        inst = quad.instance()
+        seen = []
+
+        def check(info):
+            for sl, spec in zip(inst.block_slices, inst.blocks):
+                want = sca_step(spec.feasible_set, info.x_prev[sl], info.h[sl], info.alpha)
+                np.testing.assert_allclose(info.x[sl], want, rtol=1e-12, atol=1e-14)
+            seen.append(info.k)
+
+        run(inst, RunConfig(schedule=self.SCHEDULE, max_iters=200, eval_every=100, seed=8),
+            iteration_callback=check)
+        assert seen == list(range(1, 201))
+
+    def test_forms_differ_where_a_box_bound_is_active(self):
+        # From x = 0.5 in [0, 1] toward the target 5: both forms project onto
+        # the upper bound, and the smoothing step then stops short of it.
+        box = Box([0.0], [1.0])
+        quad = make_quadratic(1, noise_stddev=0.0, target=[5.0], feasible_sets=[box])
+        seen = []
+
+        def check(info):
+            assert (info.alpha, info.h.tolist(), info.x.tolist()) == (0.2, [-4.5], [1.0])
+            seen.append(sca_step(box, info.x_prev, info.h, info.alpha))
+
+        run(quad.instance(), RunConfig(schedule=self.SCHEDULE, max_iters=1, eval_every=1),
+            x0=np.array([0.5]), iteration_callback=check)
+        np.testing.assert_allclose(seen, [[0.9]], rtol=1e-15)
+
+    def test_run_takes_the_surrogate_minimizer_of_every_block(self):
+        quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6),
+                              n_blocks=2,
+                              feasible_sets=[Box(-np.ones(3), np.ones(3)),
+                                             L2Ball([0.05, -0.02, 0.0], 0.8)])
+        inst = quad.instance()
+        seen = []
+
+        def check(info):
+            for sl, spec in zip(inst.block_slices, inst.blocks):
+                want = minimize_surrogate(info.x_prev[sl], info.h[sl], info.alpha,
+                                          spec.feasible_set)
+                assert info.x[sl].tobytes() == want.tobytes(), (info.k, sl)
+            seen.append(info.k)
+
+        run(inst, RunConfig(max_iters=300, eval_every=100, seed=4, batch_size=4),
+            iteration_callback=check)
+        assert seen == list(range(1, 301))
+
+
+# ---------------------------------------------------------------------------
 # stationarity_residual
 # ---------------------------------------------------------------------------
 
@@ -294,6 +367,32 @@ class TestStationarityResidual:
 # run loop
 # ---------------------------------------------------------------------------
 
+def count_projections(monkeypatch) -> dict:
+    """Count the calls of Unconstrained.project and Box.project."""
+    calls = {Unconstrained: 0, Box: 0}
+    for cls in calls:
+        def counted(self, p, cls=cls, original=cls.project):
+            calls[cls] += 1
+            return original(self, p)
+        monkeypatch.setattr(cls, "project", counted)
+    return calls
+
+
+class ProxySet:
+    """A set that forwards to another and counts its projections, as a
+    tracing wrapper would."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.calls = inner, inner.dim, 0
+
+    def project(self, p):
+        self.calls += 1
+        return self.inner.project(p)
+
+    def centroid(self):
+        return self.inner.centroid()
+
+
 def scalar_tracking_problem():
     """F(x) = E[(x - z)^2 / 2], z ~ N(0, 1), over the box [-10, 10]."""
     return make_quadratic(1, noise_stddev=1.0, target=[0.0],
@@ -320,12 +419,7 @@ class TestRun:
         np.testing.assert_array_equal(x, [10.0])
 
     def test_step_projects_only_constrained_blocks(self, monkeypatch):
-        calls = {Unconstrained: 0, Box: 0}
-        for cls in calls:
-            def counted(self, p, cls=cls, original=cls.project):
-                calls[cls] += 1
-                return original(self, p)
-            monkeypatch.setattr(cls, "project", counted)
+        calls = count_projections(monkeypatch)
         quad = make_quadratic(4, n_blocks=2, target=np.full(4, 3.0),
                               feasible_sets=[Unconstrained(2), Box(-np.ones(2), np.ones(2))])
         inst = quad.instance()
@@ -339,6 +433,24 @@ class TestRun:
         assert after[Unconstrained] == start[Unconstrained]
         assert after[Box] == start[Box] + 50
         assert x[0] > 1.0 and x[2] == 1.0
+
+    def test_joint_projection_skips_only_unconstrained_blocks(self, monkeypatch):
+        # ProblemInstance.project, which run_adam applies to every step, copies
+        # Unconstrained blocks and projects every other set, a proxy included;
+        # the only Unconstrained.project calls are the proxy's.
+        calls = count_projections(monkeypatch)
+        proxy = ProxySet(Unconstrained(1))
+        inst = ProblemInstance(
+            blocks=(BlockSpec(1, Unconstrained(1)), BlockSpec(1, Box([-1.0], [1.0])),
+                    BlockSpec(1, proxy)),
+            sample_batch=lambda rng, size: rng.standard_normal(size),
+            batch_grad=lambda batch, x, l: x[l:l + 1] - 3.0 + batch.mean(),
+        )
+        assert [sl.start for sl, _ in inst.constrained_blocks] == [1, 2]
+        np.testing.assert_array_equal(inst.project([5.0, -5.0, 5.0]), [5.0, -1.0, 5.0])
+        assert (calls, proxy.calls) == ({Unconstrained: 1, Box: 1}, 1)
+        run_adam(inst, RunConfig(max_iters=20, eval_every=20, seed=2))
+        assert (calls, proxy.calls) == ({Unconstrained: 21, Box: 21}, 21)
 
     def test_deterministic_across_repeats(self):
         quad = make_quadratic(5, noise_stddev=1.0, n_blocks=2)
@@ -358,7 +470,8 @@ class TestRun:
 
         def check(info):
             for spec, sl in zip(inst.blocks, inst.block_slices):
-                assert spec.feasible_set.contains(info.x[sl], tol=1e-9)
+                x_l = info.x[sl]
+                assert np.linalg.norm(x_l - project(spec.feasible_set, x_l)) <= 1e-9
             seen.append(info.k)
 
         run(inst, RunConfig(max_iters=300, eval_every=100, seed=1),

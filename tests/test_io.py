@@ -133,10 +133,10 @@ class TestParseLibsvm:
         assert ds.m == 1
 
     def test_empty_input(self):
-        with pytest.raises(ParseError, match="no examples"):
-            parse_libsvm([])
-        with pytest.raises(ParseError, match="no examples"):
-            parse_libsvm(["", "   "])
+        for lines in ([], ["", "  ", "\t"]):
+            with pytest.raises(ParseError) as info:
+                parse_libsvm(lines)
+            assert (info.value.line_no, str(info.value)) == (None, "no examples in input")
 
     def test_explicit_zeros_dropped(self):
         ds = parse_libsvm(["1 2:0.0 3:1.0"])
@@ -145,12 +145,23 @@ class TestParseLibsvm:
     def test_features_override(self):
         ds = parse_libsvm(["1 2:1.0"], num_features=10)
         assert ds.num_features == 10
-        with pytest.raises(ParseError, match="exceeds"):
+        with pytest.raises(ParseError) as info:
             parse_libsvm(["1 12:1.0"], num_features=10)
+        assert str(info.value) == ("line 1: token '12:1.0' (column 3): "
+                                   "feature index 12 exceeds --features 10")
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(["-1 1:1", "", "+1 3:1 11:0 12:2 13:1"], num_features=10)
+        assert info.value.line_no == 3
+        assert info.value.detail == "token '12:2' (column 13): feature index 12 exceeds " \
+                                    "--features 10"
+        # An explicit zero is dropped, so its index is not a stored feature.
+        assert parse_libsvm(["1 2:1 12:0"], num_features=10).indices.tolist() == [1]
 
     def test_cannot_infer_from_empty_examples(self):
-        with pytest.raises(ParseError, match="infer"):
-            parse_libsvm(["-1", "+1"])
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(["-1", "", "+1"])
+        assert info.value.line_no is None
+        assert str(info.value) == "cannot infer feature count from all-empty examples"
 
     def test_round_trip_generated_corpus(self):
         rng = np.random.default_rng(42)
@@ -209,8 +220,10 @@ class TestParseLibsvm:
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\xff\xfe\x00broken")
-        with pytest.raises(ParseError, match="UTF-8"):
+        with pytest.raises(ParseError, match="UTF-8") as info:
             load_libsvm(path)
+        assert info.value.line_no is None
+        assert str(info.value).startswith(f"{path}: not valid UTF-8 text (")
 
 
 STRUCTURAL_LINES = [
@@ -276,6 +289,16 @@ class TestParserMatchesReference:
             assert_parses_like_reference(lines)
             with pytest.raises(ParseError) as info:
                 parse_libsvm(lines)
+            assert info.value.line_no == position + 1
+
+    def test_feature_range_fault_in_a_later_chunk(self):
+        for position in (CHUNK_LINES - 1, CHUNK_LINES, 2 * CHUNK_LINES - 1):
+            lines = self.long_input(2 * CHUNK_LINES + 50)
+            lines[position] = "+1 3:1 41:0.5"
+            lines[position + 40] = "+1 x:1"
+            assert_parses_like_reference(lines, num_features=40)
+            with pytest.raises(ParseError) as info:
+                parse_libsvm(lines, num_features=40)
             assert info.value.line_no == position + 1
 
     def test_file_with_crlf_and_blank_lines(self, tmp_path):
