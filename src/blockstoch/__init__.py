@@ -21,7 +21,7 @@ from .core import (
     run,
     stationarity_residual,
 )
-from .schedules import Schedule, ScheduleError, SequenceSchedule
+from .schedules import Schedule, ScheduleError
 from .problems import (
     QuadraticProblem,
     SparseExample,

@@ -39,8 +39,8 @@ class AdamParams:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr={self.lr}: must be positive and finite")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if not self.eps > 0:
@@ -51,11 +51,10 @@ def check_rho_avg(rho_avg: float, schedule) -> None:
     """Reject an averaging exponent that does not exceed the schedule's
     alpha exponent (the weight must vanish faster than the step size);
     0 pins the weight and is allowed."""
-    rho_alpha = getattr(schedule, "alpha_exponent", None)
-    if rho_avg != 0.0 and rho_alpha is not None and not rho_avg > rho_alpha:
+    if rho_avg != 0.0 and not rho_avg > schedule.alpha_exponent:
         raise ValueError(
             f"rho_avg={rho_avg} must exceed the schedule's alpha exponent "
-            f"{rho_alpha} (or be 0 to pin the weight)"
+            f"{schedule.alpha_exponent} (or be 0 to pin the weight)"
         )
 
 
@@ -126,16 +125,18 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
     The full mini-batch is drawn every iteration to keep the sample stream
     aligned with the other methods, but only the first token is consumed
     (mini-batch Pegasos is out of scope).  The original method's optional
-    ball projection is omitted.  ``inst`` is ``problem.instance()`` when
-    the caller has already built it.
+    ball projection is omitted.  A non-finite iterate raises
+    NumericalFailureError, as in every method.  ``inst`` is
+    ``problem.instance()`` when the caller has already built it.
     """
     inst = problem.instance() if inst is None else inst
     w = inst.default_start()
-    example = problem.dataset.example
+    example, slices = problem.dataset.example, inst.block_slices
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w
         w = pegasos_step(w, example(int(np.atleast_1d(batch)[0])), problem.lam, t)
+        _check_finite(t, slices, None, w)
         return w
 
     return drive(inst, config, w, step, sample_log=sample_log)

@@ -16,6 +16,7 @@ import re
 import shlex
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .problems import (
     make_separable_dataset,
     svm_accuracy,
 )
-from .schedules import Schedule, ScheduleError
+from .schedules import Schedule
 
 METHODS = ("proposed", "pegasos", "adam", "avg-sca")
 
@@ -61,36 +62,49 @@ def _resolve_lambda(args, dataset_name: str) -> float:
 _QUAD_SPEC = re.compile(r"^quad-d(\d+)(?:-s([0-9.eE+-]+))?$")
 
 
+def _spec_value(spec: str, entries: dict, key: str, convert):
+    """The problem's ``key`` entry, converted; missing or unreadable is a usage error."""
+    if key not in entries:
+        raise UsageError(f"--synthetic: {spec}: no {key}= line")
+    try:
+        return convert(entries[key])
+    except ValueError:
+        raise UsageError(f"--synthetic: {spec}: unreadable {key}={entries[key]}") from None
+
+
 def _parse_synthetic(args) -> tuple[ProblemInstance, dict]:
+    # A built-in spec becomes the entries a problem file would hold.
     spec = args.synthetic
     extras = {"synthetic": spec}
     if Path(spec).is_file():
-        entries = dataio.read_manifest(spec)
-        kind = entries.get("kind", "")
-        if kind == "quadratic":
-            dim = int(entries["dim"])
-            sigma = float(entries.get("sigma", 1.0))
-        elif kind == "nonconvex-toy":
-            return make_nonconvex_toy(float(entries.get("sigma", 1.0))), extras
-        else:
-            raise UsageError(f"--synthetic: {spec}: unknown problem kind {kind!r}")
+        try:
+            entries = dataio.read_manifest(spec)
+        except ValueError as exc:
+            raise UsageError(f"--synthetic: {exc}") from None
+    elif spec in ("noncvx", "nonconvex-toy"):
+        entries = {"kind": "nonconvex-toy", "sigma": "1.0"}
+    elif match := _QUAD_SPEC.match(spec):
+        entries = {"kind": "quadratic", "dim": match[1], "sigma": match[2] or "1.0"}
     else:
-        match = _QUAD_SPEC.match(spec)
-        if match:
-            dim = int(match.group(1))
-            sigma = float(match.group(2)) if match.group(2) else 1.0
-        elif spec in ("noncvx", "nonconvex-toy"):
-            return make_nonconvex_toy(), extras
-        else:
-            raise UsageError(
-                f"--synthetic: {spec!r} is not quad-d<dim>[-s<sigma>], "
-                "noncvx, or a problem-spec file"
-            )
-    if dim < 1:
-        raise UsageError("--synthetic: dimension must be positive")
-    # All-ones target: the centroid start (zeros) is genuinely away from it.
-    quad = make_quadratic(dim, noise_stddev=sigma, target=np.ones(dim),
-                          n_blocks=min(args.blocks, dim))
+        raise UsageError(
+            f"--synthetic: {spec!r} is not quad-d<dim>[-s<sigma>], "
+            "noncvx, or a problem-spec file"
+        )
+    kind = entries.get("kind", "")
+    if kind not in ("quadratic", "nonconvex-toy"):
+        raise UsageError(f"--synthetic: {spec}: unknown problem kind {kind!r}")
+    sigma = _spec_value(spec, entries, "sigma", float)
+    try:
+        if kind == "nonconvex-toy":
+            return make_nonconvex_toy(sigma), extras
+        dim = _spec_value(spec, entries, "dim", int)
+        if dim < 1:
+            raise UsageError(f"--synthetic: {spec}: dim must be positive")
+        # All-ones target: the centroid start (zeros) is genuinely away from it.
+        quad = make_quadratic(dim, noise_stddev=sigma, target=np.ones(dim),
+                              n_blocks=min(args.blocks, dim))
+    except ValueError as exc:
+        raise UsageError(f"--synthetic: {spec}: {exc}") from None
     extras["analytic_objective"] = repr(quad.optimal_value())
     return quad.instance(), extras
 
@@ -113,15 +127,18 @@ def _load_problem(args):
         return None, instance, extras
     if args.subsample is None and args.subsample_seed is not None:
         raise UsageError("--subsample-seed applies to --subsample only")
+    if args.features is not None and args.features < 1:
+        raise UsageError(f"--features: need at least 1 feature, got {args.features}")
     path = Path(args.data)
     if not path.is_file():
         raise UsageError(f"--data: no such file: {path}")
     ds = dataio.load_libsvm(path, num_features=args.features,
-                            remap_zero_one=args.remap_labels)
-    if args.subsample is not None:
-        ds = dataio.subsample(ds, args.subsample, args.subsample_seed or 0)
+                            remap_zero_one=args.remap_labels, features_from="--features")
     lam = _resolve_lambda(args, ds.name)
-    problem = SvmProblem.with_blocks(ds, lam, min(args.blocks, ds.num_features))
+    with _flag_errors():
+        if args.subsample is not None:
+            ds = dataio.subsample(ds, args.subsample, args.subsample_seed or 0)
+        problem = SvmProblem.with_blocks(ds, lam, min(args.blocks, ds.num_features))
     extras = {
         "dataset_path": str(path),
         "dataset_checksum": dataio.dataset_checksum(path),
@@ -141,22 +158,40 @@ def _load_test_set(args, svm: SvmProblem):
     if not path.is_file():
         raise UsageError(f"--test-data: no such file: {path}")
     return dataio.load_libsvm(path, num_features=svm.dataset.num_features,
-                              remap_zero_one=args.remap_labels)
+                              remap_zero_one=args.remap_labels,
+                              features_from="the training data's feature count")
 
 
-# The flag behind each RunConfig field; its ValueError messages start with the field name.
-_RUN_FLAGS = {"batch_size": "--batch", "max_iters": "--iters", "seed": "--seed",
-              "eval_every": "--eval-every", "termination": "--term-eps"}
+# The flag behind each library field a flag sets; the library's ValueError
+# messages start with the field name.
+_FLAGS = {"batch_size": "--batch", "max_iters": "--iters", "seed": "--seed",
+          "eval_every": "--eval-every", "termination": "--term-eps",
+          "omega_exponent": "--rho-omega", "alpha_exponent": "--rho-alpha",
+          "alpha_scale": "--alpha-scale", "rho_avg": "--rho-avg", "lr": "--adam-lr",
+          "lam": "--lambda", "fraction": "--subsample"}
+
+
+@contextmanager
+def _flag_errors():
+    """Report a ValueError about a field in _FLAGS as a usage error naming its flag."""
+    try:
+        yield
+    except ValueError as exc:
+        flag = _FLAGS.get(re.match(r"\w*", str(exc))[0])
+        if flag is None:
+            raise
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _build_config(args, methods) -> RunConfig:
-    schedule = Schedule(args.rho_omega, args.rho_alpha, args.alpha_scale)
-    if "avg-sca" in methods:
-        try:
+    """The run's settings, and the parameters of ``methods``, all checked
+    before any method starts."""
+    with _flag_errors():
+        schedule = Schedule(args.rho_omega, args.rho_alpha, args.alpha_scale)
+        if "avg-sca" in methods:
             check_rho_avg(args.rho_avg, schedule)
-        except ValueError as exc:
-            raise UsageError(f"--rho-avg: {exc}") from None
-    try:
+        if "adam" in methods:
+            AdamParams(lr=args.adam_lr)
         return RunConfig(
             schedule=schedule,
             batch_size=args.batch,
@@ -165,8 +200,6 @@ def _build_config(args, methods) -> RunConfig:
             eval_every=args.eval_every,
             termination=MaxIters() if args.term_eps is None else StepNormBelow(args.term_eps),
         )
-    except ValueError as exc:
-        raise UsageError(f"{_RUN_FLAGS[str(exc).split()[0]]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +362,7 @@ def cmd_gen(args) -> int:
     elif args.spec == "quadratic":
         if args.dim < 1:
             raise UsageError("--dim must be a positive integer")
-        dataio.write_manifest(
-            {"kind": "quadratic", "dim": args.dim, "sigma": args.sigma, "seed": args.seed},
-            out)
+        dataio.write_manifest({"kind": "quadratic", "dim": args.dim, "sigma": args.sigma}, out)
     else:
         dataio.write_manifest({"kind": "nonconvex-toy", "sigma": args.sigma}, out)
     print(f"wrote {out}")
@@ -421,7 +452,7 @@ def main(argv=None) -> int:
     args.raw_command = shlex.join(["blockstoch"] + argv)
     try:
         return args.func(args)
-    except (UsageError, ScheduleError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

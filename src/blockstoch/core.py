@@ -424,14 +424,14 @@ def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector
     )
 
 
-def _check_finite(k: int, slices: tuple[slice, ...], g: Vector, x: Vector) -> None:
-    """Raise NumericalFailureError unless the joint gradient and iterate are
-    finite.  Only a failed check scans the blocks, in order and gradient
-    before iterate, to name the first failing one."""
-    if np.isfinite(g).all() and np.isfinite(x).all():
+def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vector) -> None:
+    """Raise NumericalFailureError unless the iterate and the joint gradient
+    (if any) are finite.  Only a failed check scans the blocks, in order and
+    gradient before iterate, to name the first failing one."""
+    if (g is None or np.isfinite(g).all()) and np.isfinite(x).all():
         return
     for l, sl in enumerate(slices):
-        if not np.isfinite(g[sl]).all():
+        if g is not None and not np.isfinite(g[sl]).all():
             raise NumericalFailureError(k, l, "sample gradient")
         if not np.isfinite(x[sl]).all():
             raise NumericalFailureError(k, l, "iterate")

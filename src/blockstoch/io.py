@@ -17,12 +17,14 @@ from .problems import SvmDataset
 
 class ParseError(ValueError):
     """Malformed dataset input; carries the 1-based line number, or None for
-    a fault of the whole input."""
+    a fault of the whole input, and the path of the file read, if any."""
 
-    def __init__(self, line_no: Optional[int], detail: str):
-        super().__init__(detail if line_no is None else f"line {line_no}: {detail}")
+    def __init__(self, line_no: Optional[int], detail: str, path=None):
+        text = detail if line_no is None else f"line {line_no}: {detail}"
+        super().__init__(text if path is None else f"{path}: {text}")
         self.line_no = line_no
         self.detail = detail
+        self.path = path
 
 
 # Lines per vectorized pass; bounds the token strings held at once.
@@ -44,7 +46,7 @@ def _parse_label(token: str, line_no: int, remap_zero_one: bool) -> int:
 
 
 def _locate(chunk: list[str], line_no: int, remap_zero_one: bool,
-            num_features: Optional[int]) -> NoReturn:
+            num_features: Optional[int], features_from: str) -> NoReturn:
     """Scan a chunk that failed a vectorized rule token by token and raise the
     ParseError of its first bad token; ``line_no`` is the line before it."""
     for line_no, raw in enumerate(chunk, start=line_no + 1):
@@ -79,7 +81,7 @@ def _locate(chunk: list[str], line_no: int, remap_zero_one: bool,
                 raise ParseError(line_no, f"{where}: indices must be strictly increasing")
             if num_features is not None and idx > num_features and val != 0.0:
                 raise ParseError(line_no, f"{where}: feature index {idx} exceeds "
-                                          f"--features {num_features}")
+                                          f"{features_from} {num_features}")
             previous = idx
     raise RuntimeError(f"lines {line_no - len(chunk) + 1}-{line_no}: a vectorized rule "
                        "failed but the token scan found no fault")
@@ -120,7 +122,8 @@ def _parse_chunk(chunk: list[str], remap_zero_one: bool,
 
 
 def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
-                 name: str = "", remap_zero_one: bool = False) -> SvmDataset:
+                 name: str = "", remap_zero_one: bool = False,
+                 features_from: str = "num_features") -> SvmDataset:
     """Parse LIBSVM-format lines ``<label> <idx>:<val> ...`` into a dataset.
 
     File indices are 1-based and strictly increasing per line; they come
@@ -129,7 +132,8 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     number and column, and explicit zero values are dropped (the sparse
     representation never stores them).  The feature count is the given
     override, which a stored index above it fails with its line and
-    column, or else the largest index seen.  Faults of the whole input (no
+    column (the message names the override's source as ``features_from``),
+    or else the largest index seen.  Faults of the whole input (no
     examples, or no index to infer the feature count from) name no line.
 
     The lines are read ``CHUNK_LINES`` at a time.  Each chunk is split once,
@@ -139,11 +143,13 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     operation.  Only a chunk that fails a rule or a conversion is rescanned
     token by token, to raise the ParseError of its first bad token.
     """
+    if num_features is not None and num_features < 1:
+        raise ValueError(f"num_features={num_features}: must be positive")
     lines, parts, line_no = iter(lines), [], 0
     while chunk := list(islice(lines, CHUNK_LINES)):
         part = _parse_chunk(chunk, remap_zero_one, num_features)
         if part is None:
-            _locate(chunk, line_no, remap_zero_one, num_features)
+            _locate(chunk, line_no, remap_zero_one, num_features, features_from)
         parts.append(part)
         line_no += len(chunk)
     if not sum(part[0].size for part in parts):
@@ -163,19 +169,18 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
 
 
 def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = None,
-                remap_zero_one: bool = False) -> SvmDataset:
-    """Read a LIBSVM file from disk; see :func:`parse_libsvm`."""
+                remap_zero_one: bool = False,
+                features_from: str = "num_features") -> SvmDataset:
+    """Read a LIBSVM file from disk; see :func:`parse_libsvm`.  A ParseError names the file."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
+        return parse_libsvm(lines, num_features, path.name if name is None else name,
+                            remap_zero_one, features_from)
     except UnicodeDecodeError as exc:
-        raise ParseError(None, f"{path}: not valid UTF-8 text ({exc})") from None
-    return parse_libsvm(
-        lines,
-        num_features=num_features,
-        name=path.name if name is None else name,
-        remap_zero_one=remap_zero_one,
-    )
+        raise ParseError(None, f"not valid UTF-8 text ({exc})", path) from None
+    except ParseError as exc:
+        raise ParseError(exc.line_no, exc.detail, path) from None
 
 
 def libsvm_lines(ds: SvmDataset) -> Iterator[str]:

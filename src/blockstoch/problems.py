@@ -164,8 +164,8 @@ class SvmProblem:
     block_ranges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam={self.lam}: must be positive and finite")
         ranges = self.block_ranges or even_partition(self.dataset.num_features, 1)
         ranges = tuple((int(a), int(b)) for a, b in ranges)
         expected = 0
@@ -272,8 +272,8 @@ class QuadraticProblem:
             raise ValueError("target and curvature must be 1-D with equal shape")
         if np.any(c <= 0):
             raise ValueError("curvature must be strictly positive")
-        if self.noise_stddev < 0:
-            raise ValueError("noise_stddev must be >= 0")
+        if not 0 <= self.noise_stddev < np.inf:
+            raise ValueError(f"noise_stddev={self.noise_stddev}: must be finite and >= 0")
         if sum(b.dim for b in self.blocks) != mu.size:
             raise ValueError("block dims must sum to the problem dimension")
         object.__setattr__(self, "target", mu)
@@ -372,6 +372,8 @@ def make_nonconvex_toy(noise_stddev: float = 1.0) -> ProblemInstance:
     x2 = 0; the two pits at x1 = +/-1 are strict local minima.
     """
     sigma = float(noise_stddev)
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"noise_stddev={sigma}: must be finite and >= 0")
     box = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
     def true_objective(x):

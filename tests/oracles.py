@@ -106,7 +106,8 @@ def _reference_label(token, line_no, remap_zero_one):
     raise ParseError(line_no, f"label {token!r} is not -1 or +1{hint}")
 
 
-def reference_parse_libsvm(lines, num_features=None, name="", remap_zero_one=False):
+def reference_parse_libsvm(lines, num_features=None, name="", remap_zero_one=False,
+                           features_from="num_features"):
     """The per-token LIBSVM parser: one Python ``int``/``float`` per field,
     checked as it goes, into flat lists.  It defines the accepted language
     and the messages that ``blockstoch.io.parse_libsvm`` must reproduce; an
@@ -145,7 +146,7 @@ def reference_parse_libsvm(lines, num_features=None, name="", remap_zero_one=Fal
                 raise ParseError(line_no, f"{where}: indices must be strictly increasing")
             if num_features is not None and idx > num_features and val != 0.0:
                 raise ParseError(line_no, f"{where}: feature index {idx} exceeds "
-                                          f"--features {num_features}")
+                                          f"{features_from} {num_features}")
             previous = idx
             if val != 0.0:
                 indices.append(idx - 1)

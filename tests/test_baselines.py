@@ -7,6 +7,7 @@ from blockstoch import (
     AdamParams,
     BlockSpec,
     L2Ball,
+    NumericalFailureError,
     ProblemInstance,
     RunConfig,
     Schedule,
@@ -135,6 +136,11 @@ class TestAdamStep:
         with pytest.raises(ValueError):
             AdamParams(eps=0.0)
 
+    @pytest.mark.parametrize("lr", [np.inf, np.nan])
+    def test_lr_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match=r"^lr=.*positive and finite"):
+            AdamParams(lr=lr)
+
 
 def constant_problem(dim=3, start=None):
     """Zero-gradient instance: every iterate stays put."""
@@ -191,6 +197,14 @@ class TestFullRuns:
         w, trace = run_pegasos(problem, config)
         assert trace[-1].objective < trace[0].objective
         assert trace[-1].tracker_error is None
+
+    def test_pegasos_rejects_non_finite_iterate(self):
+        # 1 / (lam t) overflows to inf, as in every other method's failure.
+        ds, _ = make_separable_dataset(50, 6, seed=1)
+        config = RunConfig(max_iters=20, eval_every=10)
+        with pytest.raises(NumericalFailureError,
+                           match=r"^non-finite iterate at iteration \d+, block \d+$"):
+            run_pegasos(SvmProblem.with_blocks(ds, 1e-320, 2), config)
 
     def test_adam_minimizes_quadratic(self):
         quad = make_quadratic(3, noise_stddev=0.1, target=[1.0, -1.0, 0.5])

@@ -1,5 +1,7 @@
 """Command-line driver: run, compare, gen, exit codes, manifests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -54,12 +56,44 @@ class TestGen:
         entries = read_manifest(spec)
         assert entries["kind"] == "quadratic"
         assert entries["dim"] == "4"
+        assert "seed" not in entries  # the quadratic has no random part
         outdir = tmp_path / "runs"
         code = run_cli("run", "--method", "proposed", "--synthetic", str(spec),
                        "--iters", "200", "--eval-every", "100",
                        "--outdir", str(outdir))
         assert code == 0
         assert (outdir / "proposed.trace.csv").exists()
+
+
+# (id, command, problem, flags, start of the error line after "error: "); the
+# problem is "svm" for the generated training file, a spec, or a problem
+# file's text.
+BAD_VALUES = [
+    ("compare-adam-lr-0", ("compare",), "svm", ("--adam-lr", "0"), "--adam-lr: lr=0.0: "),
+    ("adam-lr-inf", ("run", "--method", "adam"), "svm", ("--adam-lr", "inf"),
+     "--adam-lr: lr=inf: "),
+    ("lambda-0", ("run", "--method", "pegasos"), "svm", ("--lambda", "0"),
+     "--lambda: lam=0.0: "),
+    ("lambda-inf", ("run", "--method", "pegasos"), "svm", ("--lambda", "inf"),
+     "--lambda: lam=inf: "),
+    ("subsample-0", ("run", "--method", "adam"), "svm", ("--subsample", "0"), "--subsample: "),
+    ("subsample-2", ("run", "--method", "adam"), "svm", ("--subsample", "2"), "--subsample: "),
+    ("features-neg", ("run", "--method", "adam"), "svm", ("--features", "-2"), "--features: "),
+    ("alpha-scale-inf", ("compare",), "svm", ("--alpha-scale", "inf"),
+     "--alpha-scale: alpha_scale=inf: "),
+    ("sigma-overflow", ("run", "--method", "proposed"), "quad-d4-s1e999", (),
+     "--synthetic: quad-d4-s1e999: noise_stddev=inf: "),
+    ("file-sigma-nan", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=nan\n",
+     (), "--synthetic: {file}: noise_stddev=nan: "),
+    ("file-toy-sigma-neg", ("run", "--method", "proposed"),
+     "kind=nonconvex-toy\nsigma=-3\n", (), "--synthetic: {file}: noise_stddev=-3.0: "),
+    ("file-no-dim", ("run", "--method", "proposed"), "kind=quadratic\nsigma=1.0\n", (),
+     "--synthetic: {file}: no dim= line"),
+    ("file-bad-dim", ("run", "--method", "proposed"), "kind=quadratic\ndim=four\nsigma=1\n",
+     (), "--synthetic: {file}: unreadable dim=four"),
+    ("file-empty-sigma", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=\n",
+     (), "--synthetic: {file}: unreadable sigma="),
+]
 
 
 class TestRun:
@@ -92,27 +126,33 @@ class TestRun:
                        "--outdir", str(tmp_path / "r"))
         assert code == 1
         err = capsys.readouterr().err
-        assert err == ("error: line 2: token '99999999999999999999:1' (column 4): "
+        assert err == (f"error: {data}: line 2: token '99999999999999999999:1' (column 4): "
                        "bad index\n")
 
     @pytest.mark.parametrize("train, test, flags, err", [
         ("-1 1:1\n+1 2:1 12:1\n", None, ("--features", "10"),
-         "line 2: token '12:1' (column 8): feature index 12 exceeds --features 10"),
+         "{train}: line 2: token '12:1' (column 8): feature index 12 exceeds --features 10"),
         ("-1 1:1\n+1 2:1\n", "+1 1:1\n\n-1 3:1\n", (),
-         "line 3: token '3:1' (column 4): feature index 3 exceeds --features 2"),
-        ("-1\n\n+1\n", None, (), "cannot infer feature count from all-empty examples"),
-        ("\n  \n", None, (), "no examples in input"),
-    ], ids=["features", "test-data", "all-empty", "blank"])
+         "{test}: line 3: token '3:1' (column 4): feature index 3 exceeds "
+         "the training data's feature count 2"),
+        ("-1 1:1\n+1 x:1\n", "+1 1:1\n", (), "{train}: line 2: token 'x:1' (column 4): bad index"),
+        ("-1 1:1\n+1 1:1\n", "+1 1:1\n-1 x:1\n", (),
+         "{test}: line 2: token 'x:1' (column 4): bad index"),
+        ("-1\n\n+1\n", None, (), "{train}: cannot infer feature count from all-empty examples"),
+        ("\n  \n", None, (), "{train}: no examples in input"),
+        ("-1 1:1\n", "\n", (), "{test}: no examples in input"),
+    ], ids=["features", "test-data", "train-token", "test-token", "all-empty", "blank",
+            "test-blank"])
     def test_parse_error_line(self, tmp_path, capsys, train, test, flags, err):
-        data = tmp_path / "train.libsvm"
+        data, test_data = tmp_path / "train.libsvm", tmp_path / "test.libsvm"
         data.write_text(train, encoding="utf-8")
         if test is not None:
-            (tmp_path / "test.libsvm").write_text(test, encoding="utf-8")
-            flags += ("--test-data", str(tmp_path / "test.libsvm"))
+            test_data.write_text(test, encoding="utf-8")
+            flags += ("--test-data", str(test_data))
         code = run_cli("run", "--method", "proposed", "--data", str(data), *flags,
                        "--outdir", str(tmp_path / "r"))
         assert code == 1
-        assert capsys.readouterr().err == f"error: {err}\n"
+        assert capsys.readouterr().err == f"error: {err.format(train=data, test=test_data)}\n"
 
     def test_non_utf8_data_names_the_file_not_a_line(self, tmp_path, capsys):
         data = tmp_path / "junk.libsvm"
@@ -307,6 +347,36 @@ class TestRun:
         # The last flag given is the one at fault.
         assert capsys.readouterr().err.startswith(f"error: {flags[-2]}: ")
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, problem, flags, err",
+                             [case[1:] for case in BAD_VALUES],
+                             ids=[case[0] for case in BAD_VALUES])
+    def test_bad_value_is_usage_error_before_any_method(self, svm_file, tmp_path, capsys,
+                                                        command, problem, flags, err):
+        spec = tmp_path / "problem.txt"
+        if problem == "svm":
+            flags += ("--data", str(svm_file))
+        elif "=" in problem:
+            spec.write_text(problem, encoding="utf-8")
+            flags += ("--synthetic", str(spec))
+        else:
+            flags += ("--synthetic", problem)
+        outdir = tmp_path / "r"
+        code = run_cli(*command, *flags, "--iters", "20", "--eval-every", "10",
+                       "--outdir", str(outdir))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {err.format(file=spec)}")
+        assert not outdir.exists()
+
+    def test_pegasos_non_finite_iterate_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "sep.libsvm"
+        assert run_cli("gen", "separable-svm", "--m", "50", "--n", "6", "--seed", "1",
+                       "--out", str(data)) == 0
+        code = run_cli("run", "--method", "pegasos", "--data", str(data), "--lambda", "1e-320",
+                       "--iters", "20", "--eval-every", "10", "--outdir", str(tmp_path / "r"))
+        assert code == 1
+        assert re.fullmatch(r"error: non-finite iterate at iteration \d+, block \d+\n",
+                            capsys.readouterr().err)
 
 
 class TestCompare:

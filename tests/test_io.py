@@ -148,9 +148,10 @@ class TestParseLibsvm:
         with pytest.raises(ParseError) as info:
             parse_libsvm(["1 12:1.0"], num_features=10)
         assert str(info.value) == ("line 1: token '12:1.0' (column 3): "
-                                   "feature index 12 exceeds --features 10")
+                                   "feature index 12 exceeds num_features 10")
         with pytest.raises(ParseError) as info:
-            parse_libsvm(["-1 1:1", "", "+1 3:1 11:0 12:2 13:1"], num_features=10)
+            parse_libsvm(["-1 1:1", "", "+1 3:1 11:0 12:2 13:1"], num_features=10,
+                         features_from="--features")
         assert info.value.line_no == 3
         assert info.value.detail == "token '12:2' (column 13): feature index 12 exceeds " \
                                     "--features 10"
@@ -216,6 +217,24 @@ class TestParseLibsvm:
         ds = parse_libsvm(["+1 9223372036854775807:2"])
         assert ds.num_features == 2 ** 63 - 1
         assert ds.indices.tolist() == [2 ** 63 - 2]
+
+    def test_num_features_must_be_positive(self):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match=rf"^num_features={n}: must be positive$"):
+                parse_libsvm(["+1 1:1"], num_features=n)
+
+    @pytest.mark.parametrize("text, line_no, detail", [
+        ("+1 1:1\n-1 x:1\n", 2, "token 'x:1' (column 4): bad index"),
+        ("\n", None, "no examples in input"),
+    ], ids=["token", "whole-input"])
+    def test_file_faults_name_the_file(self, tmp_path, text, line_no, detail):
+        path = tmp_path / "data.libsvm"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_libsvm(path)
+        assert (info.value.path, info.value.line_no, info.value.detail) == (path, line_no, detail)
+        where = "" if line_no is None else f"line {line_no}: "
+        assert str(info.value) == f"{path}: {where}{detail}"
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "junk.bin"

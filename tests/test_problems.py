@@ -214,6 +214,12 @@ class TestSvmProblem:
         with pytest.raises(ValueError):
             SvmProblem(ds, 0.1, ((0, 5), (5, 9)))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_lambda_must_be_positive_and_finite(self, lam):
+        ds, _ = make_separable_dataset(20, 10, seed=1)
+        with pytest.raises(ValueError, match=r"^lam=.*positive and finite"):
+            SvmProblem(ds, lam)
+
     def test_blocks_concatenate_to_joint_gradient(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, m=30, n=11)
@@ -307,6 +313,11 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             make_quadratic(3, feasible_sets=[Unconstrained(1)])
 
+    @pytest.mark.parametrize("sigma", [-3.0, np.inf, np.nan])
+    def test_rejects_bad_noise(self, sigma):
+        with pytest.raises(ValueError, match=r"^noise_stddev=.*finite and >= 0"):
+            make_quadratic(3, noise_stddev=sigma)
+
 
 # ---------------------------------------------------------------------------
 # Nonconvex toy
@@ -326,6 +337,11 @@ class TestNonconvexToy:
     def test_residual_at_minimum(self):
         inst = make_nonconvex_toy()
         assert stationarity_residual(inst, np.array([-1.0, 0.0]), 1e-3) <= 1e-8
+
+    @pytest.mark.parametrize("sigma", [-3.0, np.inf, np.nan])
+    def test_rejects_bad_noise(self, sigma):
+        with pytest.raises(ValueError, match=r"^noise_stddev=.*finite and >= 0"):
+            make_nonconvex_toy(sigma)
 
     def test_noise_is_additive_and_linear(self):
         inst = make_nonconvex_toy(noise_stddev=2.0)

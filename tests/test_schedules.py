@@ -1,16 +1,17 @@
 """Step-size sequence construction, validation, and decay properties."""
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
-from blockstoch import Schedule, ScheduleError, SequenceSchedule
+from blockstoch import Schedule, ScheduleError
 
 
 class TestScheduleValues:
     def test_omega_starts_at_one(self):
-        for schedule in (Schedule(), Schedule(0.55, 1.0), Schedule(omega_offset=7)):
+        for schedule in (Schedule(), Schedule(0.55, 1.0)):
             assert schedule.omega(1) == 1.0
 
     def test_default_second_step(self):
@@ -67,13 +68,14 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError, match="positive"):
             Schedule(alpha_scale=0.0)
 
-    def test_offsets(self):
-        with pytest.raises(ScheduleError):
-            Schedule(omega_offset=-1)
-        # A large alpha offset makes the ratio grow before it decays.
-        with pytest.raises(ScheduleError, match="non-monotone"):
-            Schedule(0.6, 0.9, 1.0, omega_offset=0, alpha_offset=100)
-        Schedule(0.6, 0.9, 1.0, omega_offset=100, alpha_offset=0)
+    @pytest.mark.parametrize("scale", [np.inf, np.nan])
+    def test_scale_finite(self, scale):
+        with pytest.raises(ScheduleError, match="alpha_scale=.*finite"):
+            Schedule(alpha_scale=scale)
+
+    def test_fields_are_the_three_parameters(self):
+        assert [f.name for f in dataclasses.fields(Schedule)] == [
+            "omega_exponent", "alpha_exponent", "alpha_scale"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -86,7 +88,7 @@ def first_terms(s: Schedule, n: int = 10 ** 6) -> tuple[np.ndarray, np.ndarray]:
 
 class TestDecayProperties:
     def test_monotone_and_positive_to_1e6(self):
-        for s in (Schedule(0.55, 0.99, 2.0), Schedule(0.7, 0.9, 0.1, 5, 2), Schedule()):
+        for s in (Schedule(0.55, 0.99, 2.0), Schedule(0.7, 0.9, 0.1), Schedule()):
             om, al = first_terms(s)
             assert np.all(om > 0) and np.all(om <= 1.0)
             assert np.all(al > 0) and np.all(al <= s.alpha_scale)
@@ -100,48 +102,3 @@ class TestDecayProperties:
         om, _ = first_terms(Schedule())
         assert om.sum() > 100.0
         assert om[-1] ** 2 < 1e-6
-
-
-class TestSequenceSchedule:
-    def test_accepts_power_law(self):
-        s = SequenceSchedule(
-            omega_fn=lambda k: np.where(k < 2, 1.0, k ** -0.6),
-            alpha_fn=lambda k: k ** -0.9,
-            prefix=10 ** 5,
-        )
-        assert s.omega(1) == 1.0
-        assert s.omega(100) == pytest.approx(100 ** -0.6)
-        assert s.alpha(100) == pytest.approx(100 ** -0.9)
-
-    def test_rejects_wrong_start(self):
-        with pytest.raises(ScheduleError, match="omega\\(1\\)"):
-            SequenceSchedule(
-                omega_fn=lambda k: 0.9 * k ** -0.6,
-                alpha_fn=lambda k: k ** -0.9,
-                prefix=10 ** 4,
-            )
-
-    def test_rejects_non_square_summable(self):
-        with pytest.raises(ScheduleError, match="squares"):
-            SequenceSchedule(
-                omega_fn=lambda k: np.where(k < 2, 1.0, k ** -0.5),
-                alpha_fn=lambda k: k ** -0.9,
-                prefix=10 ** 6,
-            )
-
-    def test_rejects_non_vanishing_ratio(self):
-        with pytest.raises(ScheduleError, match="vanish"):
-            SequenceSchedule(
-                omega_fn=lambda k: np.where(k < 2, 1.0, k ** -0.6),
-                alpha_fn=lambda k: 0.5 * np.where(k < 2, 1.0, k ** -0.6),
-                prefix=10 ** 5,
-            )
-
-    def test_index_must_be_positive(self):
-        s = SequenceSchedule(
-            omega_fn=lambda k: np.where(k < 2, 1.0, k ** -0.6),
-            alpha_fn=lambda k: k ** -0.9,
-            prefix=10 ** 4,
-        )
-        with pytest.raises(ValueError):
-            s.omega(0)
