@@ -17,7 +17,11 @@ blank lines, rows of varying length, empty rows and explicit ``k:0``
 tokens, which the worker writes, reads back with ``load_libsvm`` and
 halves with ``subsample``, so the parser's output across its chunk
 boundaries (``blockstoch.io.CHUNK_LINES`` lines each) and the
-subsampler's output are compared too.
+subsampler's output are compared too.  The ``cli-compare`` entries run
+``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
+corpus and compare each method's trace, sample log and manifest, and the
+summary table; manifests leave out ``command`` and the two timings, the
+summary its ``cpu_seconds`` column.
 """
 
 import json
@@ -26,9 +30,11 @@ import subprocess
 import sys
 
 WORKER = r'''
-import json, sys, tempfile
+import contextlib, csv, io, json, os, sys, tempfile
 from pathlib import Path
 import numpy as np
+from blockstoch import cli
+from blockstoch.io import read_manifest
 from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, Unconstrained,
                         make_quadratic, make_separable_dataset, run, run_adam,
                         run_averaged_sca, run_pegasos)
@@ -62,6 +68,28 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "corpus.libsvm"
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
     parsed = SvmProblem.with_blocks(subsample(load_libsvm(path), 0.5, 4), 1e-2, 2)
+    # Relative paths keep the manifests free of the temporary directory's name.
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["compare", "--data", "corpus.libsvm", "--test-data", "corpus.libsvm",
+                             "--batch", "3", "--iters", "2000", "--eval-every", "100",
+                             "--seed", "5", "--log-sample-indices", "--outdir", "cmp"])
+        if code != 0:
+            raise SystemExit(f"compare exited {code}")
+        timings = ("command", "cpu_seconds", "wall_seconds")
+        for method in cli.METHODS:
+            prefix = f"cli-compare/{method}"
+            out[f"{prefix}/trace"] = Path(f"cmp/{method}.trace.csv").read_text()
+            out[f"{prefix}/samples"] = Path(f"cmp/{method}.samples.txt").read_text()
+            manifest = read_manifest(f"cmp/{method}.manifest.txt")
+            out[f"{prefix}/manifest"] = {k: v for k, v in manifest.items() if k not in timings}
+        with open("cmp/summary.csv", newline="", encoding="utf-8") as fh:
+            out["cli-compare/summary"] = [{k: v for k, v in row.items() if k != "cpu_seconds"}
+                                          for row in csv.DictReader(fh)]
+    finally:
+        os.chdir(cwd)
 for name, problem, schedule, batch in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
         ("quad-box-ball", quad, Schedule(), 4),

@@ -49,11 +49,11 @@ class AdamParams:
 
 def check_rho_avg(rho_avg: float, schedule) -> None:
     """Reject an averaging exponent that does not exceed the schedule's
-    alpha exponent (the weight must vanish faster than the step size);
-    0 pins the weight and is allowed."""
-    if rho_avg != 0.0 and not rho_avg > schedule.alpha_exponent:
+    alpha exponent (the weight must vanish faster than the step size), or
+    is infinite (the weight would be 0 from iteration 2 on); 0 pins the weight."""
+    if rho_avg != 0.0 and not schedule.alpha_exponent < rho_avg < np.inf:
         raise ValueError(
-            f"rho_avg={rho_avg} must exceed the schedule's alpha exponent "
+            f"rho_avg={rho_avg} must be finite and exceed the schedule's alpha exponent "
             f"{schedule.alpha_exponent} (or be 0 to pin the weight)"
         )
 

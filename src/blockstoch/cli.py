@@ -1,10 +1,10 @@
 """Command-line benchmark driver.
 
-Three subcommands: ``run`` executes one optimizer on one problem and writes
-a trace CSV plus a run manifest, ``compare`` executes all four optimizers
-on the identical sample stream and adds a summary table, ``gen`` writes
-synthetic problems to disk.  Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+Three subcommands: ``compare`` executes all four optimizers on one problem
+and the identical sample stream, writing a trace CSV and a run manifest per
+method plus a summary table; ``run`` is the same path for one optimizer;
+``gen`` writes synthetic problems to disk.  Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ _FLAGS = {"batch_size": "--batch", "max_iters": "--iters", "seed": "--seed",
           "eval_every": "--eval-every", "termination": "--term-eps",
           "omega_exponent": "--rho-omega", "alpha_exponent": "--rho-alpha",
           "alpha_scale": "--alpha-scale", "rho_avg": "--rho-avg", "lr": "--adam-lr",
-          "lam": "--lambda", "fraction": "--subsample"}
+          "lam": "--lambda", "fraction": "--subsample", "margin": "--margin"}
 
 
 @contextmanager
@@ -203,93 +203,89 @@ def _build_config(args, methods) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Single-method execution
+# Method execution
 # ---------------------------------------------------------------------------
 
 def _run_method(method: str, svm, instance: ProblemInstance, config: RunConfig, args,
                 sample_log):
+    # Each runner is called by its name here, which the benchmark's tracer patches.
     if method == "proposed":
         return run(instance, config, sample_log=sample_log)
     if method == "pegasos":
-        if svm is None:
-            raise UsageError("--method pegasos needs an SVM problem (--data)")
         return run_pegasos(svm, config, sample_log=sample_log, inst=instance)
     if method == "adam":
         return run_adam(instance, config, AdamParams(lr=args.adam_lr), sample_log=sample_log)
-    if method == "avg-sca":
-        return run_averaged_sca(instance, config, args.rho_avg, sample_log=sample_log)
-    raise UsageError(f"unknown method {method!r}")
+    return run_averaged_sca(instance, config, args.rho_avg, sample_log=sample_log)
 
 
-def _write_outputs(method: str, svm, instance: ProblemInstance, args, config, x, trace,
-                   cpu_seconds, wall_seconds, extras, outdir: Path, sample_log, test_set):
-    if not args.trace_timing:
-        trace = [replace(r, elapsed_ns=0) for r in trace]
-    trace_path = outdir / f"{method}.trace.csv"
-    dataio.write_trace(trace, trace_path)
+def _run_methods(args, methods) -> tuple[list[dict], list]:
+    """Run ``methods`` one after another on one problem and sample stream,
+    writing each one's trace, manifest and sample log to ``--outdir``.
 
-    final_objective = ""
-    if instance.true_objective is not None:
-        final_objective = repr(float(instance.true_objective(x)))
-    train_acc = test_acc = ""
-    if svm is not None:
-        train_acc = repr(svm_accuracy(x, svm.dataset))
-        if test_set is not None:
-            test_acc = repr(svm_accuracy(x, test_set))
+    Every flag and problem check runs before the first method starts.
+    Returns the manifests and each method's sample-log lines (no logs
+    without ``--log-sample-indices``).
+    """
+    svm, instance, extras = _load_problem(args)
+    if svm is None and "pegasos" in methods:
+        raise UsageError("pegasos needs an SVM problem (--data), not --synthetic")
+    config = _build_config(args, methods)
+    test_set = _load_test_set(args, svm)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
-    manifest = {
-        "command": args.raw_command,
-        "method": method,
-        "seed": config.seed,
-        "iters": config.max_iters,
-        "batch": config.batch_size,
-        "samples_per_iteration": config.batch_size,
-        "eval_every": config.eval_every,
-        "blocks": len(instance.blocks),
-        "rho_omega": args.rho_omega,
-        "rho_alpha": args.rho_alpha,
-        "alpha_scale": args.alpha_scale,
-        "rho_avg": args.rho_avg,
-        "adam_lr": args.adam_lr,
-        "term_eps": "" if args.term_eps is None else args.term_eps,
-        "trace": trace_path.name,
-        "final_objective": final_objective,
-        "train_accuracy": train_acc,
-        "test_accuracy": test_acc,
-        "cpu_seconds": f"{cpu_seconds:.6f}",
-        "wall_seconds": f"{wall_seconds:.6f}",
-    }
-    manifest.update(extras)
-    dataio.write_manifest(manifest, outdir / f"{method}.manifest.txt")
+    manifests, logs = [], []
+    for method in methods:
+        sample_log = [] if args.log_sample_indices else None
+        cpu0, wall0 = time.process_time(), time.perf_counter()
+        x, trace = _run_method(method, svm, instance, config, args, sample_log)
+        cpu_seconds = time.process_time() - cpu0
+        wall_seconds = time.perf_counter() - wall0
 
-    if sample_log is not None:
-        lines = [" ".join(str(v) for v in np.ravel(batch)) for batch in sample_log]
-        (outdir / f"{method}.samples.txt").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8")
+        if not args.trace_timing:
+            trace = [replace(r, elapsed_ns=0) for r in trace]
+        trace_path = outdir / f"{method}.trace.csv"
+        dataio.write_trace(trace, trace_path)
 
-    print(f"{method}: final_objective={final_objective or 'n/a'} "
-          f"train_accuracy={train_acc or 'n/a'} test_accuracy={test_acc or 'n/a'} "
-          f"cpu_seconds={cpu_seconds:.3f}")
-    return {
-        "method": method,
-        "final_objective": final_objective,
-        "train_accuracy": train_acc,
-        "test_accuracy": test_acc,
-        "cpu_seconds": f"{cpu_seconds:.6f}",
-    }
+        manifest = {
+            "command": args.raw_command,
+            "method": method,
+            "seed": config.seed,
+            "iters": config.max_iters,
+            "batch": config.batch_size,
+            # Pegasos draws the full batch but steps on its first sample only.
+            "samples_per_iteration": 1 if method == "pegasos" else config.batch_size,
+            "eval_every": config.eval_every,
+            "blocks": len(instance.blocks),
+            "rho_omega": args.rho_omega,
+            "rho_alpha": args.rho_alpha,
+            "alpha_scale": args.alpha_scale,
+            "rho_avg": args.rho_avg,
+            "adam_lr": args.adam_lr,
+            "term_eps": "" if args.term_eps is None else args.term_eps,
+            "trace": trace_path.name,
+            "final_objective": ("" if instance.true_objective is None
+                                else repr(float(instance.true_objective(x)))),
+            "train_accuracy": "" if svm is None else repr(svm_accuracy(x, svm.dataset)),
+            # Only an SVM run has a test set.
+            "test_accuracy": "" if test_set is None else repr(svm_accuracy(x, test_set)),
+            "cpu_seconds": f"{cpu_seconds:.6f}",
+            "wall_seconds": f"{wall_seconds:.6f}",
+        }
+        manifest.update(extras)
+        dataio.write_manifest(manifest, outdir / f"{method}.manifest.txt")
+        manifests.append(manifest)
 
+        if sample_log is not None:
+            lines = [" ".join(str(v) for v in np.ravel(batch)) for batch in sample_log]
+            (outdir / f"{method}.samples.txt").write_text(
+                "".join(line + "\n" for line in lines), encoding="utf-8")
+            logs.append(lines)
 
-def _execute(method: str, svm, instance: ProblemInstance, args, config, extras,
-             outdir: Path, test_set):
-    sample_log = [] if args.log_sample_indices else None
-    cpu0 = time.process_time()
-    wall0 = time.perf_counter()
-    x, trace = _run_method(method, svm, instance, config, args, sample_log)
-    cpu_seconds = time.process_time() - cpu0
-    wall_seconds = time.perf_counter() - wall0
-    summary = _write_outputs(method, svm, instance, args, config, x, trace,
-                             cpu_seconds, wall_seconds, extras, outdir, sample_log, test_set)
-    return summary, sample_log
+        print(f"{method}: final_objective={manifest['final_objective'] or 'n/a'} "
+              f"train_accuracy={manifest['train_accuracy'] or 'n/a'} "
+              f"test_accuracy={manifest['test_accuracy'] or 'n/a'} cpu_seconds={cpu_seconds:.3f}")
+    return manifests, logs
 
 
 # ---------------------------------------------------------------------------
@@ -297,50 +293,29 @@ def _execute(method: str, svm, instance: ProblemInstance, args, config, extras,
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    svm, instance, extras = _load_problem(args)
-    config = _build_config(args, (args.method,))
-    test_set = _load_test_set(args, svm)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _execute(args.method, svm, instance, args, config, extras, outdir, test_set)
+    _run_methods(args, (args.method,))
     return 0
 
 
 def cmd_compare(args) -> int:
-    svm, instance, extras = _load_problem(args)
-    if svm is None:
-        raise UsageError("compare needs an SVM problem (--data): pegasos is SVM-only")
-    config = _build_config(args, METHODS)
-    test_set = _load_test_set(args, svm)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    summaries = []
-    logs = {}
-    for method in METHODS:
-        summary, sample_log = _execute(method, svm, instance, args, config, extras, outdir,
-                                       test_set)
-        summaries.append(summary)
-        if sample_log is not None:
-            logs[method] = [np.ravel(b).tolist() for b in sample_log]
-
+    manifests, logs = _run_methods(args, METHODS)
     columns = ("method", "final_objective", "train_accuracy", "test_accuracy", "cpu_seconds")
-    with open(outdir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+    with open(Path(args.outdir) / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
+                                lineterminator="\n")
         writer.writeheader()
-        writer.writerows(summaries)
+        writer.writerows(manifests)
     width = max(len(m) for m in METHODS)
     print(f"{'method':<{width}}  objective      train_acc  test_acc  cpu_s")
-    for s in summaries:
-        print(f"{s['method']:<{width}}  {s['final_objective'] or 'n/a':<13.13}  "
-              f"{s['train_accuracy'] or 'n/a':<9.9}  {s['test_accuracy'] or 'n/a':<8.8}  "
-              f"{s['cpu_seconds']}")
+    for m in manifests:
+        print(f"{m['method']:<{width}}  {m['final_objective'] or 'n/a':<13.13}  "
+              f"{m['train_accuracy'] or 'n/a':<9.9}  {m['test_accuracy'] or 'n/a':<8.8}  "
+              f"{m['cpu_seconds']}")
 
     if logs:
-        streams = list(logs.values())
-        if all(s == streams[0] for s in streams[1:]):
+        if all(log == logs[0] for log in logs[1:]):
             print(f"sample streams identical across methods "
-                  f"(first {len(streams[0])} batches)")
+                  f"(first {len(logs[0])} batches)")
         else:
             print("warning: sample streams differ across methods", file=sys.stderr)
             return 1
@@ -355,10 +330,11 @@ def cmd_gen(args) -> int:
             raise UsageError("--m must be a positive integer")
         if args.n < 1:
             raise UsageError("--n must be a positive integer")
-        if not args.margin > 0:
-            raise UsageError("--margin must be positive")
-        ds, _ = make_separable_dataset(args.m, args.n, margin=args.margin, seed=args.seed)
+        with _flag_errors():
+            ds, _ = make_separable_dataset(args.m, args.n, margin=args.margin, seed=args.seed)
         dataio.write_libsvm(ds, out)
+    elif not 0 <= args.sigma < np.inf:
+        raise UsageError(f"--sigma: sigma={args.sigma}: must be finite and >= 0")
     elif args.spec == "quadratic":
         if args.dim < 1:
             raise UsageError("--dim must be a positive integer")

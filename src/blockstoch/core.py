@@ -285,8 +285,8 @@ class StepNormBelow:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("termination eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"termination eps={self.eps} must be positive and finite")
 
 
 Termination = Union[MaxIters, StepNormBelow]

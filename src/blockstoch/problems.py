@@ -228,8 +228,8 @@ def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if not margin > 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"margin={margin}: must be positive and finite")
     rng = np.random.default_rng(seed)
     w_star = rng.standard_normal(n)
     w_star /= np.linalg.norm(w_star)

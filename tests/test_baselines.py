@@ -245,3 +245,9 @@ class TestCheckRhoAvg:
             check_rho_avg(0.8, schedule)
         check_rho_avg(1.0, schedule)
         check_rho_avg(0.0, schedule)
+
+    @pytest.mark.parametrize("rho_avg", [np.inf, np.nan])
+    def test_rho_avg_must_be_finite(self, rho_avg):
+        # An infinite exponent makes every weight after the first 0.
+        with pytest.raises(ValueError, match=r"^rho_avg="):
+            check_rho_avg(rho_avg, Schedule(0.6, 0.9))

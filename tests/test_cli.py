@@ -11,6 +11,9 @@ from blockstoch.io import read_manifest, read_trace, load_libsvm
 from blockstoch import SvmProblem, make_quadratic
 
 
+PEGASOS_NEEDS_SVM = "error: pegasos needs an SVM problem (--data), not --synthetic\n"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -49,6 +52,24 @@ class TestGen:
         assert code == 2
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margin", ["inf", "0"])
+    def test_bad_margin_is_usage_error(self, tmp_path, capsys, margin):
+        out = tmp_path / "m.libsvm"
+        code = run_cli("gen", "separable-svm", "--margin", margin, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: --margin: margin={float(margin)}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, sigma", [("quadratic", "inf"), ("quadratic", "nan"),
+                                             ("nonconvex-toy", "-2")])
+    def test_bad_sigma_is_usage_error(self, tmp_path, capsys, spec, sigma):
+        # Every later run would reject such a problem file.
+        out = tmp_path / "p.prob"
+        code = run_cli("gen", spec, "--sigma", sigma, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --sigma: ")
+        assert not out.exists()
+
     def test_quadratic_spec_file(self, tmp_path):
         spec = tmp_path / "quad.prob"
         assert run_cli("gen", "quadratic", "--dim", "4", "--sigma", "0.5",
@@ -81,6 +102,12 @@ BAD_VALUES = [
     ("features-neg", ("run", "--method", "adam"), "svm", ("--features", "-2"), "--features: "),
     ("alpha-scale-inf", ("compare",), "svm", ("--alpha-scale", "inf"),
      "--alpha-scale: alpha_scale=inf: "),
+    ("rho-avg-inf", ("run", "--method", "avg-sca"), "quad-d4", ("--rho-avg", "inf"),
+     "--rho-avg: rho_avg=inf "),
+    ("compare-rho-avg-inf", ("compare",), "svm", ("--rho-avg", "inf"),
+     "--rho-avg: rho_avg=inf "),
+    ("term-eps-inf", ("run", "--method", "proposed"), "quad-d4", ("--term-eps", "inf"),
+     "--term-eps: termination eps=inf "),
     ("sigma-overflow", ("run", "--method", "proposed"), "quad-d4-s1e999", (),
      "--synthetic: quad-d4-s1e999: noise_stddev=inf: "),
     ("file-sigma-nan", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=nan\n",
@@ -180,10 +207,22 @@ class TestRun:
         assert manifest["train_accuracy"]
 
     def test_pegasos_rejects_synthetic(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
         code = run_cli("run", "--method", "pegasos", "--synthetic", "quad-d4",
-                       "--outdir", str(tmp_path / "r"))
+                       "--outdir", str(outdir))
         assert code == 2
-        assert "pegasos" in capsys.readouterr().err
+        assert capsys.readouterr().err == PEGASOS_NEEDS_SVM
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("batch", ["1", "8"])
+    def test_pegasos_records_one_sample_per_iteration(self, svm_file, tmp_path, batch):
+        # Pegasos draws the full batch but steps on its first sample only.
+        outdir = tmp_path / "out"
+        assert run_cli("run", "--method", "pegasos", "--data", str(svm_file), "--batch", batch,
+                       "--iters", "20", "--eval-every", "10", "--outdir", str(outdir)) == 0
+        manifest = read_manifest(outdir / "pegasos.manifest.txt")
+        assert manifest["batch"] == batch
+        assert manifest["samples_per_iteration"] == "1"
 
     def test_trace_reproducible_for_fixed_seed(self, svm_file, tmp_path):
         digests = []
@@ -446,6 +485,30 @@ class TestCompare:
         assert len(built) == 2
 
     def test_compare_needs_svm(self, tmp_path, capsys):
-        code = run_cli("compare", "--synthetic", "quad-d4",
-                       "--outdir", str(tmp_path / "r"))
+        outdir = tmp_path / "r"
+        code = run_cli("compare", "--synthetic", "quad-d4", "--outdir", str(outdir))
         assert code == 2
+        assert capsys.readouterr().err == PEGASOS_NEEDS_SVM
+        assert not outdir.exists()
+
+    def test_run_writes_what_compare_writes(self, svm_file, tmp_path):
+        # One run path: `run --method m` is `compare` restricted to m.
+        common = ("--data", str(svm_file), "--test-data", str(svm_file), "--batch", "3",
+                  "--iters", "60", "--eval-every", "20", "--seed", "4",
+                  "--log-sample-indices")
+        cmp_dir = tmp_path / "cmp"
+        assert run_cli("compare", *common, "--outdir", str(cmp_dir)) == 0
+        timings = ("command", "cpu_seconds", "wall_seconds")
+        for method in METHODS:
+            run_dir = tmp_path / method
+            assert run_cli("run", "--method", method, *common, "--outdir", str(run_dir)) == 0
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                f"{method}.manifest.txt", f"{method}.samples.txt", f"{method}.trace.csv"]
+            for suffix in ("trace.csv", "samples.txt"):
+                name = f"{method}.{suffix}"
+                assert (run_dir / name).read_bytes() == (cmp_dir / name).read_bytes()
+            ran, compared = (read_manifest(d / f"{method}.manifest.txt")
+                             for d in (run_dir, cmp_dir))
+            assert ran["command"].startswith("blockstoch run --method")
+            assert ({k: v for k, v in ran.items() if k not in timings}
+                    == {k: v for k, v in compared.items() if k not in timings})

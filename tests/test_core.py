@@ -681,6 +681,12 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             StepNormBelow(0.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_step_norm_rule_needs_finite_eps(self, eps):
+        # eps=inf would stop every run after its first iteration.
+        with pytest.raises(ValueError, match=r"^termination"):
+            StepNormBelow(eps)
+
     def test_rejects_negative_seed(self):
         # Caught when the config is built, not by numpy inside the run.
         with pytest.raises(ValueError, match="seed must be >= 0"):

@@ -203,6 +203,10 @@ class TestSeparableGenerator:
         with pytest.raises(ValueError):
             make_separable_dataset(5, 5, margin=0.0)
 
+    def test_margin_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^margin=inf: "):
+            make_separable_dataset(5, 5, margin=np.inf)
+
 
 class TestSvmProblem:
     def test_block_ranges_validated(self):
