@@ -17,7 +17,9 @@ blank lines, rows of varying length, empty rows and explicit ``k:0``
 tokens, which the worker writes, reads back with ``load_libsvm`` and
 halves with ``subsample``, so the parser's output across its chunk
 boundaries (``blockstoch.io.CHUNK_LINES`` lines each) and the
-subsampler's output are compared too.  The ``cli-compare`` entries run
+subsampler's output are compared too.  ``parsed-sparse-7`` runs the same
+corpus at batch 4 over 7 uneven blocks, so block boundaries fall inside
+rows and some rows have no entry in some blocks.  The ``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
 summary table; manifests leave out ``command`` and the two timings, the
@@ -67,7 +69,10 @@ for row in range(2600):
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "corpus.libsvm"
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
-    parsed = SvmProblem.with_blocks(subsample(load_libsvm(path), 0.5, 4), 1e-2, 2)
+    corpus = subsample(load_libsvm(path), 0.5, 4)
+    parsed = SvmProblem.with_blocks(corpus, 1e-2, 2)
+    cuts = (0, 1, 3, 8, 9, 17, 26, corpus.num_features)
+    parsed7 = SvmProblem(corpus, 1e-2, tuple(zip(cuts[:-1], cuts[1:])))
     # Relative paths keep the manifests free of the temporary directory's name.
     cwd = os.getcwd()
     os.chdir(tmp)
@@ -94,7 +99,8 @@ for name, problem, schedule, batch in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
         ("quad-box-ball", quad, Schedule(), 4),
         ("quad-mixed", mixed, Schedule(), 4),
-        ("parsed-sparse", parsed, Schedule(), 4)):
+        ("parsed-sparse", parsed, Schedule(), 4),
+        ("parsed-sparse-7", parsed7, Schedule(), 4)):
     inst = problem.instance()
     config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000, eval_every=100,
                        seed=5)

@@ -324,7 +324,6 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.spec == "separable-svm":
         if args.m < 1:
             raise UsageError("--m must be a positive integer")
@@ -332,12 +331,15 @@ def cmd_gen(args) -> int:
             raise UsageError("--n must be a positive integer")
         with _flag_errors():
             ds, _ = make_separable_dataset(args.m, args.n, margin=args.margin, seed=args.seed)
-        dataio.write_libsvm(ds, out)
     elif not 0 <= args.sigma < np.inf:
         raise UsageError(f"--sigma: sigma={args.sigma}: must be finite and >= 0")
+    elif args.spec == "quadratic" and args.dim < 1:
+        raise UsageError("--dim must be a positive integer")
+    # Like run's --outdir, the directory is made only once every check passed.
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if args.spec == "separable-svm":
+        dataio.write_libsvm(ds, out)
     elif args.spec == "quadratic":
-        if args.dim < 1:
-            raise UsageError("--dim must be a positive integer")
         dataio.write_manifest({"kind": "quadratic", "dim": args.dim, "sigma": args.sigma}, out)
     else:
         dataio.write_manifest({"kind": "nonconvex-toy", "sigma": args.sigma}, out)

@@ -20,6 +20,7 @@ the projection, there gamma_k shortens the projected move.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -426,9 +427,11 @@ def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector
 
 def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vector) -> None:
     """Raise NumericalFailureError unless the iterate and the joint gradient
-    (if any) are finite.  Only a failed check scans the blocks, in order and
-    gradient before iterate, to name the first failing one."""
-    if (g is None or np.isfinite(g).all()) and np.isfinite(x).all():
+    (if any) are finite.  A sum of squares is finite unless an entry is NaN
+    or inf or the sum overflows (``vdot`` does so without a warning); only
+    then are the blocks scanned, in order and gradient before iterate, to
+    name the first failing one."""
+    if math.isfinite(np.vdot(x, x)) and (g is None or math.isfinite(np.vdot(g, g))):
         return
     for l, sl in enumerate(slices):
         if g is not None and not np.isfinite(g[sl]).all():

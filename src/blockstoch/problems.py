@@ -181,33 +181,42 @@ class SvmProblem:
     def with_blocks(cls, dataset: SvmDataset, lam: float, n_blocks: int) -> "SvmProblem":
         return cls(dataset, lam, even_partition(dataset.num_features, n_blocks))
 
+    @cached_property
+    def block_cuts(self) -> np.ndarray:
+        """(m, L + 1) offsets into the dataset's entries: row i's entries in
+        block l are ``indices[cuts[i, l]:cuts[i, l + 1]]``."""
+        ds, n_blocks = self.dataset, len(self.block_ranges)
+        starts = [a for a, _ in self.block_ranges[1:]]
+        # Entry keys row * L + block never fall, so one search finds every cut.
+        keys = np.repeat(np.arange(ds.m) * n_blocks, np.diff(ds.indptr))
+        keys += np.searchsorted(starts, ds.indices, "right")
+        flat = np.searchsorted(keys, np.arange(ds.m * n_blocks + 1))
+        return np.column_stack((flat[:-1].reshape(ds.m, n_blocks), flat[n_blocks::n_blocks]))
+
     def instance(self) -> ProblemInstance:
         ds = self.dataset
         lam = self.lam
         ranges = self.block_ranges
         m = ds.m
+        indices, values = ds.indices, ds.values
         # memoryview indexing yields Python scalars, several times faster than numpy's.
-        bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
+        bounds, labels, cuts = memoryview(ds.indptr), memoryview(ds.labels), \
+            memoryview(self.block_cuts)
 
-        def block_grad(tokens: Sequence[int], x, l: int) -> Vector:
+        def batch_grad(batch, x, l):
             start, stop = ranges[l]
             x = np.asarray(x, dtype=np.float64)
             g = lam * x[start:stop]
+            tokens = np.atleast_1d(batch).tolist()
             for i in tokens:
                 a, b, y = bounds[i], bounds[i + 1], labels[i]
-                indices, values = ds.indices[a:b], ds.values[a:b]
-                margin = y * float(values @ x[indices])
-                if margin <= 1.0:
-                    # A row's indices increase, so its entries in the block are a run.
-                    lo, hi = indices.searchsorted((start, stop)).tolist()
+                if y * np.dot(values[a:b], x[indices[a:b]]) <= 1.0:
+                    lo, hi = cuts[i, l], cuts[i, l + 1]
                     g[indices[lo:hi] - start] -= (y / len(tokens)) * values[lo:hi]
             return g
 
         def sample_batch(rng, size):
             return rng.integers(0, m, size=size)
-
-        def batch_grad(batch, x, l):
-            return block_grad([int(i) for i in np.atleast_1d(batch)], x, l)
 
         blocks = tuple(BlockSpec(b - a, Unconstrained(b - a)) for a, b in ranges)
         return ProblemInstance(
@@ -228,6 +237,8 @@ def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if not 0 < margin < np.inf:
         raise ValueError(f"margin={margin}: must be positive and finite")
     rng = np.random.default_rng(seed)

@@ -85,6 +85,24 @@ def naive_svm_objective(w, dataset, lam):
     return 0.5 * lam * reg + total / dataset.m
 
 
+def searched_svm_batch_grad(problem, batch, x, l):
+    """Block l of the SVM batch-mean gradient, the way the oracle computed it
+    before ``SvmProblem.block_cuts``: per token the full-row margin, then a
+    ``searchsorted`` of the row's indices for the block's run of entries."""
+    ds, lam = problem.dataset, problem.lam
+    start, stop = problem.block_ranges[l]
+    x = np.asarray(x, dtype=np.float64)
+    g = lam * x[start:stop]
+    tokens = [int(i) for i in np.atleast_1d(batch)]
+    for i in tokens:
+        a, b, y = int(ds.indptr[i]), int(ds.indptr[i + 1]), float(ds.labels[i])
+        indices, values = ds.indices[a:b], ds.values[a:b]
+        if y * float(values @ x[indices]) <= 1.0:
+            lo, hi = indices.searchsorted((start, stop)).tolist()
+            g[indices[lo:hi] - start] -= (y / len(tokens)) * values[lo:hi]
+    return g
+
+
 def tracker_by_recursion(omegas, grads):
     """Reference tracker: fold the recursion step by step."""
     h = np.zeros_like(grads[0])

@@ -70,6 +70,31 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: --sigma: ")
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a.libsvm"
+        code = run_cli("gen", "separable-svm", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed: seed must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("separable-svm", "--m", "0"),
+        ("separable-svm", "--seed", "-1"),
+        ("quadratic", "--dim", "0"),
+        ("quadratic", "--sigma", "inf"),
+        ("nonconvex-toy", "--sigma", "-1"),
+    ], ids=["m", "seed", "dim", "sigma", "toy-sigma"])
+    def test_rejected_gen_leaves_no_directory(self, tmp_path, argv):
+        out = tmp_path / "sub" / "deeper" / "x.out"
+        assert run_cli("gen", *argv, "--out", str(out)) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_makes_missing_directories(self, tmp_path):
+        for spec in ("separable-svm", "quadratic", "nonconvex-toy"):
+            out = tmp_path / spec / "nested" / "x.out"
+            assert run_cli("gen", spec, "--out", str(out)) == 0
+            assert out.stat().st_size > 0
+
     def test_quadratic_spec_file(self, tmp_path):
         spec = tmp_path / "quad.prob"
         assert run_cli("gen", "quadratic", "--dim", "4", "--sigma", "0.5",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import itertools
+import warnings
 from dataclasses import replace
 
 from blockstoch import (
@@ -29,6 +30,7 @@ from blockstoch import (
     run_pegasos,
     stationarity_residual,
 )
+from blockstoch.core import _check_finite
 
 import oracles
 
@@ -664,6 +666,64 @@ class TestDriver:
                 method(poisoned_problem(sets, late_grads))
             assert (info.value.k, info.value.block) == (3, block), name
             assert str(info.value) == f"non-finite {what} at iteration 3, block {block}", name
+
+
+SLICES = (slice(0, 2), slice(2, 3), slice(3, 6))
+
+
+class TestCheckFinite:
+    # (gradient entries, iterate entries, (block, what) named, or None):
+    # blocks in order, within a block the gradient before the iterate.
+    @pytest.mark.parametrize("g_bad, x_bad, named", [
+        ({}, {}, None),
+        ({1: np.nan}, {}, (0, "sample gradient")),
+        ({}, {0: np.inf}, (0, "iterate")),
+        ({5: -np.inf}, {1: np.nan}, (0, "iterate")),
+        ({2: np.nan}, {2: np.inf}, (1, "sample gradient")),
+        ({4: np.inf}, {3: -np.inf}, (2, "sample gradient")),
+        ({0: 1e200, 3: np.nan}, {1: -1e200}, (2, "sample gradient")),
+        ({0: 1e200}, {5: np.nan, 2: 1e200}, (2, "iterate")),
+    ])
+    @pytest.mark.parametrize("with_gradient", [True, False])
+    def test_names_first_failing_block(self, g_bad, x_bad, named, with_gradient):
+        g, x = np.ones(6), np.full(6, -0.5)
+        for vector, bad in ((g, g_bad), (x, x_bad)):
+            for j, value in bad.items():
+                vector[j] = value
+        if not with_gradient:
+            g = None
+            named = next(((l, "iterate") for l, sl in enumerate(SLICES)
+                          if not np.isfinite(x[sl]).all()), None)
+        if named is None:
+            _check_finite(7, SLICES, g, x)
+            return
+        with pytest.raises(NumericalFailureError) as info:
+            _check_finite(7, SLICES, g, x)
+        assert (info.value.k, info.value.block) == (7, named[0])
+        assert str(info.value) == f"non-finite {named[1]} at iteration 7, block {named[0]}"
+
+    def test_overflowing_sum_of_squares_passes_quietly(self):
+        g, x = np.full(6, 1e200), np.full(6, -1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.vdot(g, g) == np.inf  # the fast path fails, the scan passes
+            _check_finite(1, SLICES, g, x)
+            _check_finite(1, SLICES, None, x)
+
+    # The trace's step norm and Adam's second moment overflow too, and warn.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_run_with_huge_finite_gradient_does_not_raise(self):
+        inst = ProblemInstance(
+            blocks=(BlockSpec(2, Unconstrained(2)), BlockSpec(1, Unconstrained(1))),
+            sample_batch=lambda rng, size: np.zeros(size),
+            batch_grad=lambda batch, x, l: np.full(2 - l, 1e200),
+        )
+        # Every gradient's sum of squares overflows, so every check scans.
+        config = RunConfig(max_iters=10, eval_every=5, seed=0)
+        for method in (run, run_adam, run_averaged_sca):
+            x, trace = method(inst, config)
+            assert np.isfinite(x).all()
+            assert [r.k for r in trace] == [5, 10]
 
 
 class TestRunConfigValidation:

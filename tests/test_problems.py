@@ -38,11 +38,14 @@ def dense_dataset(rows, labels, name=""):
     return SvmDataset(indptr, np.nonzero(stored)[1], rows[stored], labels, rows.shape[1], name)
 
 
-def random_dataset(rng, m=40, n=12, density=0.6):
+def random_dataset(rng, m=40, n=12, density=0.6, empty_rows=()):
+    """Random rows, none empty except those listed in ``empty_rows``."""
     rows, labels = [], []
-    for _ in range(m):
+    for i in range(m):
         row = rng.standard_normal(n) * (rng.random(n) < density)
-        if not np.any(row):
+        if i in empty_rows:
+            row[:] = 0.0
+        elif not np.any(row):
             row[int(rng.integers(0, n))] = 1.0
         rows.append(row)
         labels.append(int(rng.choice([-1, 1])))
@@ -207,6 +210,10 @@ class TestSeparableGenerator:
         with pytest.raises(ValueError, match=r"^margin=inf: "):
             make_separable_dataset(5, 5, margin=np.inf)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            make_separable_dataset(5, 5, seed=-1)
+
 
 class TestSvmProblem:
     def test_block_ranges_validated(self):
@@ -246,6 +253,42 @@ class TestSvmProblem:
             singles = np.mean([inst.batch_grad(tokens[i:i + 1], w, l)
                                for i in range(tokens.size)], axis=0)
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n_blocks", [1, 4, 7])
+    def test_block_cuts_are_the_searched_block_starts(self, n_blocks):
+        ds = random_dataset(np.random.default_rng(8), m=30, n=11, density=0.3,
+                            empty_rows=(0, 13, 29))
+        prob = SvmProblem.with_blocks(ds, 0.01, n_blocks)
+        edges = [a for a, _ in prob.block_ranges] + [ds.num_features]
+        searched = [ds.indptr[i] + ds.indices[ds.indptr[i]:ds.indptr[i + 1]].searchsorted(edges)
+                    for i in range(ds.m)]
+        cuts = prob.block_cuts
+        assert cuts.dtype == np.int64
+        np.testing.assert_array_equal(cuts, searched)
+        prob.instance()
+        assert prob.block_cuts is cuts  # built once per problem
+
+    @pytest.mark.parametrize("n_blocks", [1, 4, 7])
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_batch_grad_matches_searched_oracle_bitwise(self, n_blocks, batch_size):
+        # Sparse rows over 7 blocks of 1-2 features: many rows miss some
+        # blocks, and rows 0, 13 and 29 are empty.
+        rng = np.random.default_rng(9)
+        ds = random_dataset(rng, m=30, n=11, density=0.3, empty_rows=(0, 13, 29))
+        prob = SvmProblem.with_blocks(ds, 0.01, n_blocks)
+        inst = prob.instance()
+        hinge_active = set()
+        for _ in range(20):
+            w = rng.standard_normal(11)
+            batch = inst.sample_batch(rng, batch_size)
+            if batch_size == 3:
+                batch[0] = 0  # an empty row in every small batch
+            hinge_active.update((ds.labels * (ds.matrix @ w))[batch] <= 1.0)
+            for l in range(n_blocks):
+                got = inst.batch_grad(batch, w, l)
+                want = oracles.searched_svm_batch_grad(prob, batch, w, l)
+                assert got.tobytes() == want.tobytes(), (batch, l)
+        assert hinge_active == {True, False}
 
     def test_default_start_is_all_ones(self):
         ds, _ = make_separable_dataset(10, 6, seed=2)
