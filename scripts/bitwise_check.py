@@ -19,7 +19,12 @@ halves with ``subsample``, so the parser's output across its chunk
 boundaries (``blockstoch.io.CHUNK_LINES`` lines each) and the
 subsampler's output are compared too.  ``parsed-sparse-7`` runs the same
 corpus at batch 4 over 7 uneven blocks, so block boundaries fall inside
-rows and some rows have no entry in some blocks.  The ``cli-compare`` entries run
+rows and some rows have no entry in some blocks.  ``quad-refill`` is a
+4096-wide quadratic at batch 4 in a Box and an Unconstrained block: one
+batch is an eighth of ``blockstoch.core.DRAW_BYTES``, so the run's 2000
+iterations take their batches from 250 prefetched draws of 8 and cross
+a refill every 8 iterations (every other entry fits in one draw).  The
+``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
 summary table; manifests leave out ``command`` and the two timings, the
@@ -55,6 +60,9 @@ quad = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6), n_b
 mixed = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.0, 9), n_blocks=3,
                        feasible_sets=[Unconstrained(3), Box(-np.ones(3), np.full(3, 0.5)),
                                       L2Ball(np.array([0.1, 0.0, -0.1]), 1.2)])
+refill = make_quadratic(4096, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 4096),
+                        n_blocks=2, feasible_sets=[Box(-np.ones(2048), np.ones(2048)),
+                                                   Unconstrained(2048)])
 rng = np.random.default_rng(11)
 lines = []
 for row in range(2600):
@@ -100,7 +108,8 @@ for name, problem, schedule, batch in (
         ("quad-box-ball", quad, Schedule(), 4),
         ("quad-mixed", mixed, Schedule(), 4),
         ("parsed-sparse", parsed, Schedule(), 4),
-        ("parsed-sparse-7", parsed7, Schedule(), 4)):
+        ("parsed-sparse-7", parsed7, Schedule(), 4),
+        ("quad-refill", refill, Schedule(), 4)):
     inst = problem.instance()
     config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000, eval_every=100,
                        seed=5)

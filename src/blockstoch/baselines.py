@@ -14,12 +14,14 @@ and honours the same termination rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import (
+    NumericalFailureError,
     ProblemInstance,
     RunConfig,
     TraceRecord,
@@ -106,6 +108,18 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
     return w2, m2, v2
 
 
+def _check_second_moment(t: int, slices: tuple[slice, ...], v: Vector) -> None:
+    """Raise NumericalFailureError naming the first block whose second
+    moment is not finite (a squared gradient entry overflowed), with the
+    structure of :func:`blockstoch.core._check_finite`: a sum of squares
+    that is finite passes, else the blocks are scanned."""
+    if math.isfinite(np.vdot(v, v)):
+        return
+    for l, sl in enumerate(slices):
+        if not np.isfinite(v[sl]).all():
+            raise NumericalFailureError(t, l, "second moment")
+
+
 def averaging_weight(k: int, rho_avg: float) -> float:
     """Vanishing averaging weight rho_k = k^-rho_avg with rho_1 = 1; a zero
     exponent pins the weight to 1 (no averaging)."""
@@ -145,7 +159,10 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
 def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
              params: AdamParams = AdamParams(),
              sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
-    """Adam on the batch-mean stochastic gradient, projected when constrained."""
+    """Adam on the batch-mean stochastic gradient, projected when constrained.
+
+    Besides the gradient and iterate, the second moment must stay finite: a
+    squared gradient entry that overflows would freeze its coordinate."""
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
@@ -157,6 +174,7 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
         inst.gather_grad(batch, w, g)
         w, m, v = adam_step(w, g, m, v, t, params, project)
         _check_finite(t, slices, g, w)
+        _check_second_moment(t, slices, v)
         return w
 
     return drive(inst, config, w, step, sample_log=sample_log)

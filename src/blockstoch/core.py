@@ -192,8 +192,11 @@ class BlockSpec:
 class ProblemInstance:
     """Stochastic objective oracle over a block-partitioned variable.
 
-    The sampling contract: ``sample_batch(rng, size)`` draws an opaque
-    batch of ``size`` realizations of the problem's randomness, and
+    The sampling contract: ``sample_batch(rng, size)`` draws ``size``
+    realizations of the problem's randomness as an array with the
+    realizations along axis 0, and one call for ``n * size`` must equal
+    ``n`` calls for ``size``, stacked (:func:`drive` prefetches many
+    batches in one call and hands each iteration its rows, a view).
     ``batch_grad(batch, x, l)`` returns the batch-mean cost gradient over
     block ``l`` at the joint point ``x``, a numpy array of shape
     ``(block dim,)``.  Gradients must be unbiased estimates of the true
@@ -207,7 +210,7 @@ class ProblemInstance:
     """
 
     blocks: tuple[BlockSpec, ...]
-    sample_batch: Callable[[np.random.Generator, int], Any]
+    sample_batch: Callable[[np.random.Generator, int], np.ndarray]
     batch_grad: Callable[[Any, Vector, int], Vector]
     true_objective: Optional[Callable[[Vector], float]] = None
     true_gradient: Optional[Callable[[Vector], Vector]] = None
@@ -406,6 +409,10 @@ def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> fl
 
 Step = Callable[[Any, int, float, float], Vector]
 
+DRAW_BYTES = 1 << 20
+"""Byte budget of one prefetched draw: :func:`drive` asks ``sample_batch``
+for as many batches at once as fit in it (at least one)."""
+
 
 def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector],
                  step_norm: float, started_ns: int) -> TraceRecord:
@@ -440,32 +447,60 @@ def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vec
             raise NumericalFailureError(k, l, "iterate")
 
 
+def _step_norm(x: Vector, x_prev: Vector) -> float:
+    """||x - x_prev||, rescaled by the largest entry only where the plain
+    norm overflows on a finite step (so every finite result is the plain one)."""
+    d = x - x_prev
+    norm = float(np.linalg.norm(d))
+    if not math.isfinite(norm):
+        scale = float(np.abs(d).max())
+        if 0.0 < scale < math.inf:
+            norm = scale * float(np.linalg.norm(d / scale))
+    return norm
+
+
 def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
           h: Optional[Vector] = None, sample_log: Optional[list] = None,
           iteration_callback: Optional[Callable[[IterationInfo], None]] = None,
           ) -> tuple[Vector, list[TraceRecord]]:
     """The iteration loop of every method; returns (final point, trace).
 
-    Iteration k draws the mini-batch from the stream seeded by
+    Iteration k takes its mini-batch from the stream seeded by
     ``config.seed`` and calls ``step(batch, k, omega_k, alpha_k)``, which
     advances the method's state and returns its reported point as a fresh
     array (``x`` is the one before the first step).  Records are taken at
     the reported point every ``eval_every`` iterations and at the last, with
     the error of the live tracker ``h`` when given.  ``StepNormBelow`` stops
     the run, recorded, once the reported step over alpha_k is at most eps.
-    ``sample_log`` collects the first 100 batches for sample-stream audits.
+    ``sample_log`` collects copies of the first 100 batches for
+    sample-stream audits.
+
+    The batches come from one ``sample_batch`` call per ``DRAW_BYTES`` of
+    draws: the first call draws one batch, whose size fixes how many the
+    later calls draw (never more than the iterations left), and iteration
+    k takes its ``batch_size`` rows in order.  By the sampling contract
+    this is the stream of one call per iteration.
     """
     rng, schedule = np.random.default_rng(config.seed), config.schedule
     term = config.termination
     eps = term.eps if isinstance(term, StepNormBelow) else None
     trace: list[TraceRecord] = []
+    size, per_draw, draws, offset = config.batch_size, 1, (), 0
     started_ns = time.perf_counter_ns()
     for k in range(1, config.max_iters + 1):
         omega_k = schedule.omega(k)
         alpha_k = schedule.alpha(k)
-        batch = problem.sample_batch(rng, config.batch_size)
+        if offset == len(draws):
+            n = min(per_draw, config.max_iters + 1 - k) * size
+            draws, offset = problem.sample_batch(rng, n), 0
+            if len(draws) != n:
+                raise ValueError(f"sample_batch(rng, {n}) returned {len(draws)} realizations")
+            if k == 1:
+                per_draw = max(1, DRAW_BYTES // max(1, draws.nbytes))
+        batch = draws[offset:offset + size]
+        offset += size
         if sample_log is not None and len(sample_log) < 100:
-            sample_log.append(np.array(batch) if isinstance(batch, np.ndarray) else batch)
+            sample_log.append(batch.copy())
 
         x_prev = x
         x = step(batch, k, omega_k, alpha_k)
@@ -474,7 +509,7 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
 
         record = k % config.eval_every == 0 or k == config.max_iters
         if record or eps is not None:
-            step_norm = float(np.linalg.norm(x - x_prev))
+            step_norm = _step_norm(x, x_prev)
             stopping = eps is not None and step_norm / alpha_k <= eps
             if record or stopping:
                 trace.append(_make_record(problem, k, x, h, step_norm, started_ns))

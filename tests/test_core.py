@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -30,6 +30,7 @@ from blockstoch import (
     run_pegasos,
     stationarity_residual,
 )
+from blockstoch import core
 from blockstoch.core import _check_finite
 
 import oracles
@@ -555,11 +556,14 @@ class TestRun:
                                            f"expected ({dim},)"), name
 
     def test_non_finite_gradient_raises_with_location(self):
-        calls = {"n": 0}
+        # Realization k is the token k, however many batches one call draws.
+        count = 0
 
         def sample_batch(rng, size):
-            calls["n"] += 1
-            return np.full(size, calls["n"])
+            nonlocal count
+            batch = np.arange(count + 1, count + size + 1)
+            count += size
+            return batch
 
         def batch_grad(batch, x, l):
             if batch[0] >= 3:
@@ -604,17 +608,24 @@ class OverflowingSet:
 
 
 def poisoned_problem(sets, late_grads):
-    """Two 1-D blocks starting at 0.  Block l's batch gradient is 0 for the
-    first two draws and late_grads[l] from the third draw on."""
-    draws = itertools.count(1)
+    """Two 1-D blocks starting at 0.  Realization k is the token k; block
+    l's batch gradient is 0 for the first two tokens and late_grads[l] from
+    the third token on."""
+    count = 0
 
-    def batch_grad(token, x, l):
-        return np.array([late_grads[l] if token >= 3 else 0.0])
+    def sample_batch(rng, size):
+        nonlocal count
+        batch = np.arange(count + 1, count + size + 1)
+        count += size
+        return batch
+
+    def batch_grad(batch, x, l):
+        return np.array([late_grads[l] if batch[0] >= 3 else 0.0])
 
     return ProblemInstance(
         blocks=tuple(BlockSpec(1, OverflowingSet() if s == "overflow" else Unconstrained(1))
                      for s in sets),
-        sample_batch=lambda rng, size: next(draws),
+        sample_batch=sample_batch,
         batch_grad=batch_grad,
     )
 
@@ -710,7 +721,7 @@ class TestCheckFinite:
             _check_finite(1, SLICES, g, x)
             _check_finite(1, SLICES, None, x)
 
-    # The trace's step norm and Adam's second moment overflow too, and warn.
+    # The trace's plain step norm and Adam's squared gradient overflow, and warn.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_run_with_huge_finite_gradient_does_not_raise(self):
         inst = ProblemInstance(
@@ -720,10 +731,133 @@ class TestCheckFinite:
         )
         # Every gradient's sum of squares overflows, so every check scans.
         config = RunConfig(max_iters=10, eval_every=5, seed=0)
-        for method in (run, run_adam, run_averaged_sca):
+        for method in (run, run_averaged_sca):
             x, trace = method(inst, config)
             assert np.isfinite(x).all()
             assert [r.k for r in trace] == [5, 10]
+        # Adam squares 1e200 into an infinite second moment, which would
+        # freeze every coordinate.
+        with pytest.raises(NumericalFailureError,
+                           match="^non-finite second moment at iteration 1, block 0$"):
+            run_adam(inst, config)
+
+
+def two_coordinate_problem(grad):
+    """Blocks of one coordinate each, starting at 0, with the constant
+    batch gradient ``grad``."""
+    return ProblemInstance(
+        blocks=(BlockSpec(1, Unconstrained(1)), BlockSpec(1, Unconstrained(1))),
+        sample_batch=lambda rng, size: np.zeros(size),
+        batch_grad=lambda batch, x, l: np.array([grad[l]]),
+    )
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_step_norm_of_huge_finite_step_is_finite(self):
+        steps = {}
+
+        def keep(info):
+            steps[info.k] = info.x - info.x_prev
+
+        _, trace = run(two_coordinate_problem([1e200, 1.0]),
+                       RunConfig(max_iters=10, eval_every=5, seed=0), iteration_callback=keep)
+        assert [r.k for r in trace] == [5, 10]
+        for r in trace:
+            assert math.isfinite(r.step_norm)
+            assert r.step_norm == pytest.approx(math.hypot(*steps[r.k]), rel=1e-15)
+
+    def test_finite_step_norm_is_the_plain_norm(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-300, 1.0, 1e150):
+            x, x_prev = scale * rng.standard_normal(7), scale * rng.standard_normal(7)
+            assert core._step_norm(x, x_prev) == float(np.linalg.norm(x - x_prev))
+        nan = np.array([np.nan, 1.0])
+        assert math.isnan(core._step_norm(nan, np.zeros(2)))
+        assert core._step_norm(np.array([np.inf, 1.0]), np.zeros(2)) == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_adam_second_moment_overflow_is_located(self):
+        for grad, block in (([1e200, 1.0], 0), ([1.0, -1e200], 1)):
+            with pytest.raises(NumericalFailureError) as info:
+                run_adam(two_coordinate_problem(grad), RunConfig(max_iters=10, eval_every=5))
+            assert (info.value.k, info.value.block) == (1, block)
+            assert str(info.value) == f"non-finite second moment at iteration 1, block {block}"
+
+    def test_adam_second_moment_sum_overflow_passes_quietly(self):
+        # v holds about 1e197: finite, but its sum of squares overflows, so
+        # the check scans the blocks and finds nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, trace = run_adam(two_coordinate_problem([1e100, 1.0]),
+                                RunConfig(max_iters=10, eval_every=5))
+        assert np.isfinite(x).all()
+        assert [r.k for r in trace] == [5, 10]
+
+
+class TestDrawPrefetch:
+    @staticmethod
+    def counted(inst):
+        """The instance, and the list of sizes its sample_batch is asked for."""
+        sizes = []
+
+        def sample_batch(rng, size):
+            sizes.append(size)
+            return inst.sample_batch(rng, size)
+
+        return replace(inst, sample_batch=sample_batch), sizes
+
+    def test_svm_run_draws_at_most_twice(self):
+        ds, _ = make_separable_dataset(1000, 20, seed=3)
+        problem = SvmProblem.with_blocks(ds, 1e-2, 4)
+        config = RunConfig(schedule=Schedule(0.51, 0.75, 5.0), max_iters=1000, eval_every=20,
+                           seed=5)
+        inst, sizes = self.counted(problem.instance())
+        x, trace = run(inst, config)
+        assert len(sizes) <= 2 and sum(sizes) == 1000
+        x_ref, trace_ref = run(problem.instance(), config)
+        assert x.tobytes() == x_ref.tobytes()
+        assert records_without_time(trace) == records_without_time(trace_ref)
+
+    def test_batch_above_budget_draws_every_iteration(self):
+        dim = core.DRAW_BYTES // 8 // 2 + 1
+        inst, sizes = self.counted(make_quadratic(dim, noise_stddev=1.0).instance())
+        run(inst, RunConfig(batch_size=2, max_iters=5, eval_every=5))
+        assert sizes == [2] * 5
+
+    def test_draw_sizes_fill_budget_and_stop_at_last_iteration(self):
+        # A batch of 4 x 4096 float64 is DRAW_BYTES / 8, so eight batches a call.
+        inst, sizes = self.counted(make_quadratic(4096, noise_stddev=1.0).instance())
+        run(inst, RunConfig(batch_size=4, max_iters=20, eval_every=10))
+        assert sizes == [4, 32, 32, 12]
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_prefetched_stream_equals_one_draw_per_iteration(self, monkeypatch, batch_size):
+        ds, _ = make_separable_dataset(200, 8, seed=1)
+        problems = (SvmProblem.with_blocks(ds, 1e-2, 2).instance(),
+                    make_quadratic(5, noise_stddev=1.0, n_blocks=2).instance())
+        config = RunConfig(batch_size=batch_size, max_iters=300, eval_every=50, seed=2)
+        for inst in problems:
+            for method in (run, run_adam, run_averaged_sca):
+                log, log_ref = [], []
+                x, trace = method(inst, config, sample_log=log)
+                with monkeypatch.context() as patch:
+                    patch.setattr(core, "DRAW_BYTES", 0)  # one batch per call
+                    x_ref, trace_ref = method(inst, config, sample_log=log_ref)
+                assert x.tobytes() == x_ref.tobytes()
+                assert records_without_time(trace) == records_without_time(trace_ref)
+                assert len(log) == 100
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(log, log_ref))
+                assert not any(np.shares_memory(a, b) for a, b in zip(log, log[1:]))
+
+    def test_short_draw_is_rejected(self):
+        inst = ProblemInstance(
+            blocks=(BlockSpec(1, Unconstrained(1)),),
+            sample_batch=lambda rng, size: np.zeros(size - 1),
+            batch_grad=lambda batch, x, l: np.zeros(1),
+        )
+        with pytest.raises(ValueError, match=r"^sample_batch\(rng, 2\) returned 1 realizations$"):
+            run(inst, RunConfig(batch_size=2, max_iters=3, eval_every=1))
 
 
 class TestRunConfigValidation:

@@ -400,6 +400,48 @@ class TestNonconvexToy:
 
 
 # ---------------------------------------------------------------------------
+# The sampling contract: one draw of n batches is n draws, stacked
+# ---------------------------------------------------------------------------
+
+def assert_split_draws_equal(draw, n, size):
+    """draw(rng, n * size) equals n calls draw(rng, size), stacked, and
+    leaves the generator in the same state."""
+    whole_rng, split_rng = np.random.default_rng(17), np.random.default_rng(17)
+    whole = draw(whole_rng, n * size)
+    split = np.concatenate([draw(split_rng, size) for _ in range(n)])
+    assert whole.shape == split.shape
+    assert whole.tobytes() == split.tobytes()
+    assert whole_rng.bit_generator.state == split_rng.bit_generator.state
+
+
+BATCH_SIZES = [1, 3, 64]
+
+
+class TestStreamSplitting:
+    @pytest.mark.parametrize("m", [1, 2, 7, 10**3, 10**4, 581012,
+                                   2**31 + 11, 2**32 + 5, 2**40 + 3])
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_integers(self, m, size):
+        assert_split_draws_equal(lambda rng, k: rng.integers(0, m, size=k), 5, size)
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_svm_sample_batch(self, size):
+        ds = random_dataset(np.random.default_rng(2), m=40, n=12)
+        inst = SvmProblem.with_blocks(ds, 0.1, 3).instance()
+        assert_split_draws_equal(inst.sample_batch, 5, size)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_quadratic_sample_batch(self, dim, size):
+        quad = make_quadratic(dim, noise_stddev=0.7, target=np.linspace(-1.0, 2.0, dim))
+        assert_split_draws_equal(quad.instance().sample_batch, 5, size)
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_nonconvex_toy_sample_batch(self, size):
+        assert_split_draws_equal(make_nonconvex_toy(0.3).sample_batch, 5, size)
+
+
+# ---------------------------------------------------------------------------
 # Statistical contracts (fixed seeds)
 # ---------------------------------------------------------------------------
 
