@@ -7,11 +7,15 @@ its own subprocess, which runs all methods on fixed seeds with ``MaxIters``
 and prints the raw bytes of the final iterates and the trace records
 ``(k, objective, step_norm, tracker_error)``.  The script reports, per
 configuration and method, whether the two trees agree bit for bit, and
-exits 1 if any differ.  The configurations are the benchmark's svm-loop
-shape (planted 1000 x 20 SVM, 4 blocks, B = 1, schedule (0.51, 0.75,
-5.0)), a Box/L2Ball quadratic at batch 4, a quadratic at batch 4 with
-one Unconstrained, one Box and one L2Ball block (so Adam's projected path
-runs with an unconstrained block in it), and a parsed-sparse SVM at
+exits 1 if any differ.  A differing entry also shows the largest
+relative difference over the numbers it holds (iterate entries, trace
+values, numbers in the CLI's files), or says that one tree lacks the
+entry or that the two hold different counts of numbers.  The
+configurations are the benchmark's svm-loop shape (planted 1000 x 20
+SVM, 4 blocks, B = 1, schedule (0.51, 0.75, 5.0)), a Box/L2Ball
+quadratic at batch 4, a quadratic at batch 4 with one Unconstrained,
+one Box and one L2Ball block (so Adam's projected path runs with an
+unconstrained block in it), and a parsed-sparse SVM at
 batch 4 in 2 blocks: a fixed 2600-row LIBSVM corpus with CRLF line ends,
 blank lines, rows of varying length, empty rows and explicit ``k:0``
 tokens, which the worker writes, reads back with ``load_libsvm`` and
@@ -23,7 +27,14 @@ rows and some rows have no entry in some blocks.  ``quad-refill`` is a
 4096-wide quadratic at batch 4 in a Box and an Unconstrained block: one
 batch is an eighth of ``blockstoch.core.DRAW_BYTES``, so the run's 2000
 iterations take their batches from 250 prefetched draws of 8 and cross
-a refill every 8 iterations (every other entry fits in one draw).  The
+a refill every 8 iterations (every other entry fits in one draw).
+``quad-wide-20k`` is a 20000-wide quadratic at batch 1 in a Box and an
+L2Ball block, run for 300 iterations: the first entry whose vectors are
+longer than the 10^4 entries above which OpenBLAS splits a dot product
+over its threads.  Its norms are sums taken by ``blockstoch.core._dot``
+on one thread; in a tree that still sums through BLAS (``np.vdot``,
+``np.linalg.norm``) they depend on the BLAS thread count, so the entry
+compares equal only between trees that both have ``_dot``.  The
 ``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
@@ -32,9 +43,14 @@ summary its ``cpu_seconds`` column.
 """
 
 import json
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 WORKER = r'''
 import contextlib, csv, io, json, os, sys, tempfile
@@ -63,6 +79,9 @@ mixed = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.0, 9), n_
 refill = make_quadratic(4096, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 4096),
                         n_blocks=2, feasible_sets=[Box(-np.ones(2048), np.ones(2048)),
                                                    Unconstrained(2048)])
+wide = make_quadratic(20000, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 20000),
+                      n_blocks=2, feasible_sets=[Box(-np.ones(10000), np.ones(10000)),
+                                                 L2Ball(np.full(10000, 0.01), 30.0)])
 rng = np.random.default_rng(11)
 lines = []
 for row in range(2600):
@@ -103,15 +122,16 @@ with tempfile.TemporaryDirectory() as tmp:
                                           for row in csv.DictReader(fh)]
     finally:
         os.chdir(cwd)
-for name, problem, schedule, batch in (
-        ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1),
-        ("quad-box-ball", quad, Schedule(), 4),
-        ("quad-mixed", mixed, Schedule(), 4),
-        ("parsed-sparse", parsed, Schedule(), 4),
-        ("parsed-sparse-7", parsed7, Schedule(), 4),
-        ("quad-refill", refill, Schedule(), 4)):
+for name, problem, schedule, batch, iters in (
+        ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1, 2000),
+        ("quad-box-ball", quad, Schedule(), 4, 2000),
+        ("quad-mixed", mixed, Schedule(), 4, 2000),
+        ("parsed-sparse", parsed, Schedule(), 4, 2000),
+        ("parsed-sparse-7", parsed7, Schedule(), 4, 2000),
+        ("quad-refill", refill, Schedule(), 4, 2000),
+        ("quad-wide-20k", wide, Schedule(), 1, 300)):
     inst = problem.instance()
-    config = RunConfig(schedule=schedule, batch_size=batch, max_iters=2000, eval_every=100,
+    config = RunConfig(schedule=schedule, batch_size=batch, max_iters=iters, eval_every=100,
                        seed=5)
     out[f"{name}/proposed"] = digest(*run(inst, config))
     out[f"{name}/adam"] = digest(*run_adam(inst, config))
@@ -129,6 +149,36 @@ def results(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def numbers(value, key: str = "") -> list[float]:
+    """The numbers an entry holds, in order: a final iterate ``x`` decoded
+    from its bytes, anything else read off its text."""
+    if isinstance(value, dict):
+        return [n for k in sorted(value) for n in numbers(value[k], k)]
+    if isinstance(value, list):
+        return [n for item in value for n in numbers(item)]
+    if key == "x":
+        return [f for (f,) in struct.iter_unpack("<d", bytes.fromhex(value))]
+    return [float(token) for token in NUMBER.findall(str(value))]
+
+
+def difference(old, new, key: str = "") -> str:
+    """How far a differing entry moved: its largest relative difference,
+    per differing field when the entry is a dict (``x``, ``trace``, ...)."""
+    if old is None or new is None:
+        return "absent in the " + ("old" if old is None else "new") + " tree"
+    if isinstance(old, dict) and isinstance(new, dict):
+        return "; ".join(f"{k}: {difference(old.get(k), new.get(k), k)}"
+                         for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k))
+    a, b = numbers(old, key), numbers(new, key)
+    if len(a) != len(b):
+        return f"{len(a)} numbers against {len(b)}"
+    worst = 0.0
+    for u, v in zip(a, b):
+        if u != v and not (math.isnan(u) and math.isnan(v)):
+            worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    return f"largest relative difference {worst:.2g}"
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -138,7 +188,8 @@ def main(argv) -> int:
     for key in sorted(old.keys() | new.keys()):
         same = old.get(key) == new.get(key)
         differ += not same
-        print(f"{key}: {'bitwise equal' if same else 'DIFFERS'}")
+        print(f"{key}: bitwise equal" if same
+              else f"{key}: DIFFERS ({difference(old.get(key), new.get(key))})")
     print(f"{len(old.keys() | new.keys()) - differ} equal, {differ} differ")
     return 1 if differ else 0
 

@@ -27,6 +27,8 @@ from .core import (
     TraceRecord,
     Vector,
     _check_finite,
+    _dot,
+    _locate_nonfinite,
     block_step,
     drive,
 )
@@ -108,13 +110,18 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
     return w2, m2, v2
 
 
-def _check_second_moment(t: int, slices: tuple[slice, ...], v: Vector) -> None:
-    """Raise NumericalFailureError naming the first block whose second
-    moment is not finite (a squared gradient entry overflowed), with the
-    structure of :func:`blockstoch.core._check_finite`: a sum of squares
-    that is finite passes, else the blocks are scanned."""
-    if math.isfinite(np.vdot(v, v)):
+def _check_adam_state(t: int, slices: tuple[slice, ...], g: Vector, w: Vector,
+                      v: Vector) -> None:
+    """Raise NumericalFailureError unless the gradient, the iterate and the
+    second moment are finite, with one reduction: w . v is finite unless an
+    entry of w or v is NaN or inf (a non-finite gradient, or a squared
+    entry that overflowed, makes v non-finite) or the sum overflows.  Only
+    then are the blocks scanned, gradient and iterate first as in
+    :func:`blockstoch.core._check_finite`, then the second moment, which
+    would freeze its coordinate."""
+    if math.isfinite(_dot(w, v)):
         return
+    _locate_nonfinite(t, slices, g, w)
     for l, sl in enumerate(slices):
         if not np.isfinite(v[sl]).all():
             raise NumericalFailureError(t, l, "second moment")
@@ -149,7 +156,7 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w
-        w = pegasos_step(w, example(int(np.atleast_1d(batch)[0])), problem.lam, t)
+        w = pegasos_step(w, example(int(batch[0])), problem.lam, t)
         _check_finite(t, slices, None, w)
         return w
 
@@ -162,7 +169,8 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     """Adam on the batch-mean stochastic gradient, projected when constrained.
 
     Besides the gradient and iterate, the second moment must stay finite: a
-    squared gradient entry that overflows would freeze its coordinate."""
+    squared gradient entry that overflows would freeze its coordinate
+    (:func:`_check_adam_state`)."""
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
@@ -173,8 +181,7 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
         nonlocal w, m, v
         inst.gather_grad(batch, w, g)
         w, m, v = adam_step(w, g, m, v, t, params, project)
-        _check_finite(t, slices, g, w)
-        _check_second_moment(t, slices, v)
+        _check_adam_state(t, slices, g, w, v)
         return w
 
     return drive(inst, config, w, step, sample_log=sample_log)

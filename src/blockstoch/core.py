@@ -53,6 +53,19 @@ def _as_vector(v, name: str) -> Vector:
     return out
 
 
+def _dot(a: Vector, b: Vector) -> float:
+    """Sum of a_i * b_i in numpy's own loop: one thread, no overflow
+    warning, and the same bits whatever the BLAS thread count or the
+    arrays' memory offsets.  Every reduction over a problem-sized vector
+    goes through it."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: Vector) -> float:
+    """||v||, the square root of :func:`_dot` (v, v)."""
+    return math.sqrt(_dot(v, v))
+
+
 # ---------------------------------------------------------------------------
 # Feasible sets
 # ---------------------------------------------------------------------------
@@ -146,7 +159,7 @@ class L2Ball:
         if p.size != self.dim:
             raise ValueError(f"point has dim {p.size}, set has dim {self.dim}")
         offset = p - self.center
-        dist = float(np.linalg.norm(offset))
+        dist = _norm(offset)
         if dist <= self.radius:
             return p.copy()
         return self.center + (self.radius / dist) * offset
@@ -400,7 +413,7 @@ def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> fl
     x = _as_vector(x, "x")
     g = np.asarray(problem.true_gradient(x), dtype=np.float64)
     moved = problem.project(x - alpha_probe * g)
-    return float(np.linalg.norm(x - moved)) / alpha_probe
+    return _norm(x - moved) / alpha_probe
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +435,7 @@ def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector
     tracker_error = None
     if h is not None and problem.true_gradient is not None:
         g = np.asarray(problem.true_gradient(x), dtype=np.float64)
-        tracker_error = float(np.linalg.norm(h - g))
+        tracker_error = _norm(h - g)
     return TraceRecord(
         k=k,
         objective=objective,
@@ -434,12 +447,18 @@ def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector
 
 def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vector) -> None:
     """Raise NumericalFailureError unless the iterate and the joint gradient
-    (if any) are finite.  A sum of squares is finite unless an entry is NaN
-    or inf or the sum overflows (``vdot`` does so without a warning); only
-    then are the blocks scanned, in order and gradient before iterate, to
-    name the first failing one."""
-    if math.isfinite(np.vdot(x, x)) and (g is None or math.isfinite(np.vdot(g, g))):
-        return
+    (if any) are finite.  One reduction decides: x . g (x . x without a
+    gradient) is finite unless an entry of either is NaN or inf (inf * 0
+    is NaN) or the sum overflows, quietly; only then are the blocks
+    scanned by :func:`_locate_nonfinite`."""
+    if not math.isfinite(_dot(x, x if g is None else g)):
+        _locate_nonfinite(k, slices, g, x)
+
+
+def _locate_nonfinite(k: int, slices: tuple[slice, ...], g: Optional[Vector],
+                      x: Vector) -> None:
+    """Scan the blocks in order, gradient before iterate, and raise
+    NumericalFailureError naming the first non-finite one (if any)."""
     for l, sl in enumerate(slices):
         if g is not None and not np.isfinite(g[sl]).all():
             raise NumericalFailureError(k, l, "sample gradient")
@@ -451,11 +470,11 @@ def _step_norm(x: Vector, x_prev: Vector) -> float:
     """||x - x_prev||, rescaled by the largest entry only where the plain
     norm overflows on a finite step (so every finite result is the plain one)."""
     d = x - x_prev
-    norm = float(np.linalg.norm(d))
+    norm = _norm(d)
     if not math.isfinite(norm):
         scale = float(np.abs(d).max())
         if 0.0 < scale < math.inf:
-            norm = scale * float(np.linalg.norm(d / scale))
+            norm = scale * _norm(d / scale)
     return norm
 
 

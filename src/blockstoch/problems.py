@@ -18,6 +18,7 @@ from .core import (
     ProblemInstance,
     Unconstrained,
     Vector,
+    _dot,
 )
 
 
@@ -102,6 +103,14 @@ class SvmDataset:
         out.data, out.indices, out.indptr = self.values, self.indices, self.indptr
         return out
 
+    @cached_property
+    def matrix_t(self) -> sparse.csc_matrix:
+        """The transpose of :attr:`matrix`, a CSC matrix over the same arrays
+        (``matrix.T`` would copy the index arrays on every call)."""
+        out = sparse.csc_matrix((self.num_features, self.m))
+        out.data, out.indices, out.indptr = self.values, self.indices, self.indptr
+        return out
+
     @property
     def nnz(self) -> int:
         return self.values.size
@@ -133,7 +142,7 @@ def svm_objective(w, ds: SvmDataset, lam: float) -> float:
     w = np.asarray(w, dtype=np.float64)
     margins = ds.labels * (ds.matrix @ w)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(w @ w) + float(hinge.mean())
+    return 0.5 * lam * _dot(w, w) + float(hinge.mean())
 
 
 def svm_true_gradient(w, ds: SvmDataset, lam: float) -> Vector:
@@ -141,7 +150,7 @@ def svm_true_gradient(w, ds: SvmDataset, lam: float) -> Vector:
     w = np.asarray(w, dtype=np.float64)
     margins = ds.labels * (ds.matrix @ w)
     coeff = np.where(margins <= 1.0, ds.labels, 0.0)
-    return lam * w - (ds.matrix.T @ coeff) / ds.m
+    return lam * w - (ds.matrix_t @ coeff) / ds.m
 
 
 def svm_accuracy(w, ds: SvmDataset) -> float:
@@ -207,7 +216,7 @@ class SvmProblem:
             start, stop = ranges[l]
             x = np.asarray(x, dtype=np.float64)
             g = lam * x[start:stop]
-            tokens = np.atleast_1d(batch).tolist()
+            tokens = batch.tolist()
             for i in tokens:
                 a, b, y = bounds[i], bounds[i + 1], labels[i]
                 if y * np.dot(values[a:b], x[indices[a:b]]) <= 1.0:
@@ -298,7 +307,7 @@ class QuadraticProblem:
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
         offsets = x - self.target
-        return 0.5 * float(self.curvature @ (offsets * offsets)) \
+        return 0.5 * _dot(self.curvature, offsets * offsets) \
             + 0.5 * self.noise_stddev ** 2 * float(self.curvature.sum())
 
     def gradient(self, x) -> Vector:
@@ -337,7 +346,10 @@ class QuadraticProblem:
         slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
         def sample_batch(rng, size):
-            return mu[None, :] + sigma * rng.standard_normal((size, mu.size))
+            z = rng.standard_normal((size, mu.size))
+            z *= sigma
+            z += mu
+            return z
 
         def batch_grad(z_batch, x, l):
             sl = slices[l]

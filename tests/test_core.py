@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -30,7 +33,7 @@ from blockstoch import (
     run_pegasos,
     stationarity_residual,
 )
-from blockstoch import core
+from blockstoch import baselines, core
 from blockstoch.core import _check_finite
 
 import oracles
@@ -717,11 +720,11 @@ class TestCheckFinite:
         g, x = np.full(6, 1e200), np.full(6, -1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.vdot(g, g) == np.inf  # the fast path fails, the scan passes
+            assert core._dot(x, g) == -np.inf  # the fast path fails, the scan passes
             _check_finite(1, SLICES, g, x)
             _check_finite(1, SLICES, None, x)
 
-    # The trace's plain step norm and Adam's squared gradient overflow, and warn.
+    # Adam's squared gradient overflows, and warns.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_run_with_huge_finite_gradient_does_not_raise(self):
         inst = ProblemInstance(
@@ -729,7 +732,9 @@ class TestCheckFinite:
             sample_batch=lambda rng, size: np.zeros(size),
             batch_grad=lambda batch, x, l: np.full(2 - l, 1e200),
         )
-        # Every gradient's sum of squares overflows, so every check scans.
+        # The checked x is the post-step iterate, about -1e200 times the step
+        # size, so x . g overflows to -inf at every iteration and every check
+        # scans the blocks, finding nothing.
         config = RunConfig(max_iters=10, eval_every=5, seed=0)
         for method in (run, run_averaged_sca):
             x, trace = method(inst, config)
@@ -771,7 +776,11 @@ class TestOverflow:
         rng = np.random.default_rng(4)
         for scale in (1e-300, 1.0, 1e150):
             x, x_prev = scale * rng.standard_normal(7), scale * rng.standard_normal(7)
-            assert core._step_norm(x, x_prev) == float(np.linalg.norm(x - x_prev))
+            d = x - x_prev
+            # The plain norm is the square root of the engine's one-thread sum.
+            assert core._step_norm(x, x_prev) == math.sqrt(core._dot(d, d))
+            assert core._step_norm(x, x_prev) == pytest.approx(float(np.linalg.norm(d)),
+                                                               rel=1e-15)
         nan = np.array([np.nan, 1.0])
         assert math.isnan(core._step_norm(nan, np.zeros(2)))
         assert core._step_norm(np.array([np.inf, 1.0]), np.zeros(2)) == math.inf
@@ -785,14 +794,70 @@ class TestOverflow:
             assert str(info.value) == f"non-finite second moment at iteration 1, block {block}"
 
     def test_adam_second_moment_sum_overflow_passes_quietly(self):
-        # v holds about 1e197: finite, but its sum of squares overflows, so
-        # the check scans the blocks and finds nothing.
+        # v holds about 1e197: finite, and the one check reduction w . v
+        # stays finite and quiet.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x, trace = run_adam(two_coordinate_problem([1e100, 1.0]),
                                 RunConfig(max_iters=10, eval_every=5))
         assert np.isfinite(x).all()
         assert [r.k for r in trace] == [5, 10]
+
+    def test_adam_state_product_overflow_scans_and_passes_quietly(self):
+        # Finite w and v whose product overflows: the one reduction fails,
+        # and the block scan runs and finds nothing, without a warning.
+        w, v, g = np.full(6, 1e200), np.full(6, 1e200), np.ones(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._dot(w, v) == np.inf
+            baselines._check_adam_state(1, SLICES, g, w, v)
+
+    @pytest.mark.parametrize("grad, block", [([1.0, np.nan], 1), ([np.inf, 1.0], 0)])
+    def test_adam_non_finite_gradient_is_located(self, grad, block):
+        # The gradient makes v non-finite, so w . v fails and the scan names it.
+        with pytest.raises(NumericalFailureError) as info:
+            with np.errstate(invalid="ignore"):
+                run_adam(two_coordinate_problem(grad), RunConfig(max_iters=10, eval_every=5))
+        assert str(info.value) == f"non-finite sample gradient at iteration 1, block {block}"
+
+
+def _numpy_blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25, or no BLAS entry
+        return ""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+@pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
+                    reason="OPENBLAS_NUM_THREADS acts only on an OpenBLAS numpy")
+class TestBlasThreadCount:
+    """Every sum over a problem-sized vector runs on one thread in numpy's
+    own loop, so no run's bits depend on the BLAS thread count."""
+
+    CHILD = r'''
+import numpy as np
+from blockstoch import (Box, L2Ball, RunConfig, make_quadratic, run, run_adam,
+                        run_averaged_sca)
+half = 15000  # d = 30000, above the 10^4 entries where OpenBLAS splits a dot
+inst = make_quadratic(2 * half, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 2 * half),
+                      n_blocks=2, feasible_sets=[Box(-np.ones(half), np.ones(half)),
+                                                 L2Ball(np.full(half, 0.01), 30.0)]).instance()
+config = RunConfig(max_iters=20, eval_every=5, seed=3)
+for x, trace in (run(inst, config), run_adam(inst, config), run_averaged_sca(inst, config, 0.8)):
+    rows = [(r.k, r.objective, r.step_norm, r.tracker_error) for r in trace]
+    print(x.tobytes().hex(), repr(rows))
+'''
+
+    def test_runs_are_bitwise_equal_under_one_and_two_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        outputs = [subprocess.run([sys.executable, "-c", self.CHILD], capture_output=True,
+                                  text=True, check=True,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert len(outputs[0].splitlines()) == 3
+        assert outputs[0] == outputs[1]
 
 
 class TestDrawPrefetch:

@@ -106,6 +106,16 @@ class TestContainers:
         for name, attr in (("data", "values"), ("indices", "indices"), ("indptr", "indptr")):
             assert getattr(ds.matrix, name) is getattr(ds, attr)
 
+    def test_transposed_matrix_shares_the_arrays(self):
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng)
+        t = ds.matrix_t
+        assert t.shape == (ds.num_features, ds.m)
+        for name, attr in (("data", "values"), ("indices", "indices"), ("indptr", "indptr")):
+            assert np.shares_memory(getattr(t, name), getattr(ds, attr))
+        coeff = rng.standard_normal(ds.m)
+        assert (t @ coeff).tobytes() == (ds.matrix.T @ coeff).tobytes()
+
     def test_even_partition(self):
         assert even_partition(10, 3) == ((0, 3), (3, 6), (6, 10))
         assert even_partition(4, 1) == ((0, 4),)
