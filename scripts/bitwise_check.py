@@ -23,7 +23,10 @@ halves with ``subsample``, so the parser's output across its chunk
 boundaries (``blockstoch.io.CHUNK_LINES`` lines each) and the
 subsampler's output are compared too.  ``parsed-sparse-7`` runs the same
 corpus at batch 4 over 7 uneven blocks, so block boundaries fall inside
-rows and some rows have no entry in some blocks.  ``quad-refill`` is a
+rows and some rows have no entry in some blocks.
+``parsed-sparse-per-feature-b1`` and ``-b4`` run it with one block per
+feature, at batch 1 and 4: a row has 0-8 entries over 30 features, so
+most (row, block) pairs are empty.  ``quad-refill`` is a
 4096-wide quadratic at batch 4 in a Box and an Unconstrained block: one
 batch is an eighth of ``blockstoch.core.DRAW_BYTES``, so the run's 2000
 iterations take their batches from 250 prefetched draws of 8 and cross
@@ -100,6 +103,7 @@ with tempfile.TemporaryDirectory() as tmp:
     parsed = SvmProblem.with_blocks(corpus, 1e-2, 2)
     cuts = (0, 1, 3, 8, 9, 17, 26, corpus.num_features)
     parsed7 = SvmProblem(corpus, 1e-2, tuple(zip(cuts[:-1], cuts[1:])))
+    per_feature = SvmProblem.with_blocks(corpus, 1e-2, corpus.num_features)
     # Relative paths keep the manifests free of the temporary directory's name.
     cwd = os.getcwd()
     os.chdir(tmp)
@@ -128,6 +132,8 @@ for name, problem, schedule, batch, iters in (
         ("quad-mixed", mixed, Schedule(), 4, 2000),
         ("parsed-sparse", parsed, Schedule(), 4, 2000),
         ("parsed-sparse-7", parsed7, Schedule(), 4, 2000),
+        ("parsed-sparse-per-feature-b1", per_feature, Schedule(), 1, 2000),
+        ("parsed-sparse-per-feature-b4", per_feature, Schedule(), 4, 2000),
         ("quad-refill", refill, Schedule(), 4, 2000),
         ("quad-wide-20k", wide, Schedule(), 1, 300)):
     inst = problem.instance()

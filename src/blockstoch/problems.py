@@ -192,15 +192,15 @@ class SvmProblem:
 
     @cached_property
     def block_cuts(self) -> np.ndarray:
-        """(m, L + 1) offsets into the dataset's entries: row i's entries in
-        block l are ``indices[cuts[i, l]:cuts[i, l + 1]]``."""
+        """(L + 1, m) offsets into the dataset's entries: row i's entries in
+        block l are ``indices[cuts[l, i]:cuts[l + 1, i]]``."""
         ds, n_blocks = self.dataset, len(self.block_ranges)
         starts = [a for a, _ in self.block_ranges[1:]]
         # Entry keys row * L + block never fall, so one search finds every cut.
         keys = np.repeat(np.arange(ds.m) * n_blocks, np.diff(ds.indptr))
         keys += np.searchsorted(starts, ds.indices, "right")
         flat = np.searchsorted(keys, np.arange(ds.m * n_blocks + 1))
-        return np.column_stack((flat[:-1].reshape(ds.m, n_blocks), flat[n_blocks::n_blocks]))
+        return np.vstack((flat[:-1].reshape(ds.m, n_blocks).T, flat[n_blocks::n_blocks]))
 
     def instance(self) -> ProblemInstance:
         ds = self.dataset
@@ -209,18 +209,21 @@ class SvmProblem:
         m = ds.m
         indices, values = ds.indices, ds.values
         # memoryview indexing yields Python scalars, several times faster than numpy's.
-        bounds, labels, cuts = memoryview(ds.indptr), memoryview(ds.labels), \
-            memoryview(self.block_cuts)
+        bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
+        cuts = tuple(memoryview(row) for row in self.block_cuts)
 
         def batch_grad(batch, x, l):
             start, stop = ranges[l]
+            first, last = cuts[l], cuts[l + 1]
             x = np.asarray(x, dtype=np.float64)
             g = lam * x[start:stop]
             tokens = batch.tolist()
             for i in tokens:
+                lo, hi = first[i], last[i]
+                if lo == hi:
+                    continue  # no entry in the block: the hinge term has no coordinate here
                 a, b, y = bounds[i], bounds[i + 1], labels[i]
-                if y * np.dot(values[a:b], x[indices[a:b]]) <= 1.0:
-                    lo, hi = cuts[i, l], cuts[i, l + 1]
+                if y * values[a:b].dot(x[indices[a:b]]) <= 1.0:
                     g[indices[lo:hi] - start] -= (y / len(tokens)) * values[lo:hi]
             return g
 

@@ -264,7 +264,7 @@ class TestSvmProblem:
                                for i in range(tokens.size)], axis=0)
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("n_blocks", [1, 4, 7])
+    @pytest.mark.parametrize("n_blocks", [1, 4, 7, 11])
     def test_block_cuts_are_the_searched_block_starts(self, n_blocks):
         ds = random_dataset(np.random.default_rng(8), m=30, n=11, density=0.3,
                             empty_rows=(0, 13, 29))
@@ -274,15 +274,16 @@ class TestSvmProblem:
                     for i in range(ds.m)]
         cuts = prob.block_cuts
         assert cuts.dtype == np.int64
-        np.testing.assert_array_equal(cuts, searched)
+        np.testing.assert_array_equal(cuts.T, searched)
         prob.instance()
         assert prob.block_cuts is cuts  # built once per problem
 
-    @pytest.mark.parametrize("n_blocks", [1, 4, 7])
+    @pytest.mark.parametrize("n_blocks", [1, 4, 7, 11])
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_batch_grad_matches_searched_oracle_bitwise(self, n_blocks, batch_size):
         # Sparse rows over 7 blocks of 1-2 features: many rows miss some
-        # blocks, and rows 0, 13 and 29 are empty.
+        # blocks, and rows 0, 13 and 29 are empty.  With 11 blocks of one
+        # feature each, most (row, block) pairs are empty.
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, m=30, n=11, density=0.3, empty_rows=(0, 13, 29))
         prob = SvmProblem.with_blocks(ds, 0.01, n_blocks)
