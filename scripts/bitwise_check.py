@@ -3,8 +3,7 @@
     python scripts/bitwise_check.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``blockstoch`` package) is imported in
-its own subprocess, which runs all methods on fixed seeds with ``MaxIters``
-and prints the raw bytes of the final iterates and the trace records
+its own subprocess, which runs all methods on fixed seeds and prints the raw bytes of the final iterates and the trace records
 ``(k, objective, step_norm, tracker_error)``.  The script reports, per
 configuration and method, whether the two trees agree bit for bit, and
 exits 1 if any differ.  A differing entry also shows the largest
@@ -42,7 +41,11 @@ compares equal only between trees that both have ``_dot``.  The
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
 summary table; manifests leave out ``command`` and the two timings, the
-summary its ``cpu_seconds`` column.
+summary its ``cpu_seconds`` column.  Every other entry runs to its
+iteration count; the ``cli-term-eps`` entries run the same corpus through
+``blockstoch compare --lambda 0.1 --term-eps 0.35``, whose stop rule ends
+each method before ``--iters`` (proposed at iteration 90, pegasos at 1602,
+adam at 1 and avg-sca at 2), and compare each method's trace and manifest.
 """
 
 import json
@@ -124,6 +127,19 @@ with tempfile.TemporaryDirectory() as tmp:
         with open("cmp/summary.csv", newline="", encoding="utf-8") as fh:
             out["cli-compare/summary"] = [{k: v for k, v in row.items() if k != "cpu_seconds"}
                                           for row in csv.DictReader(fh)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["compare", "--data", "corpus.libsvm", "--lambda", "0.1",
+                             "--batch", "3", "--iters", "2000", "--eval-every", "100",
+                             "--seed", "5", "--term-eps", "0.35", "--outdir", "stop"])
+        if code != 0:
+            raise SystemExit(f"compare --term-eps exited {code}")
+        for method in cli.METHODS:
+            trace = Path(f"stop/{method}.trace.csv").read_text()
+            if int(trace.splitlines()[-1].split(",")[0]) >= 2000:
+                raise SystemExit(f"--term-eps did not stop {method} before --iters")
+            manifest = read_manifest(f"stop/{method}.manifest.txt")
+            out[f"cli-term-eps/{method}"] = {
+                "trace": trace, "manifest": {k: v for k, v in manifest.items() if k not in timings}}
     finally:
         os.chdir(cwd)
 for name, problem, schedule, batch, iters in (

@@ -6,11 +6,9 @@ from .core import (
     FeasibleSet,
     IterationInfo,
     L2Ball,
-    MaxIters,
     NumericalFailureError,
     ProblemInstance,
     RunConfig,
-    StepNormBelow,
     TraceRecord,
     Unconstrained,
     UnsupportedOperationError,

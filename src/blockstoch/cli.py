@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io as dataio
 from .baselines import AdamParams, check_rho_avg, run_adam, run_averaged_sca, run_pegasos
-from .core import MaxIters, ProblemInstance, RunConfig, StepNormBelow, run
+from .core import ProblemInstance, RunConfig, run
 from .problems import (
     SvmProblem,
     make_nonconvex_toy,
@@ -165,7 +165,7 @@ def _load_test_set(args, svm: SvmProblem):
 # The flag behind each library field a flag sets; the library's ValueError
 # messages start with the field name.
 _FLAGS = {"batch_size": "--batch", "max_iters": "--iters", "seed": "--seed",
-          "eval_every": "--eval-every", "termination": "--term-eps",
+          "eval_every": "--eval-every", "term_eps": "--term-eps",
           "omega_exponent": "--rho-omega", "alpha_exponent": "--rho-alpha",
           "alpha_scale": "--alpha-scale", "rho_avg": "--rho-avg", "lr": "--adam-lr",
           "lam": "--lambda", "fraction": "--subsample", "margin": "--margin"}
@@ -198,7 +198,7 @@ def _build_config(args, methods) -> RunConfig:
             max_iters=args.iters,
             seed=args.seed,
             eval_every=args.eval_every,
-            termination=MaxIters() if args.term_eps is None else StepNormBelow(args.term_eps),
+            term_eps=args.term_eps,
         )
 
 

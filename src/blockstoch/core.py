@@ -53,6 +53,13 @@ def _as_vector(v, name: str) -> Vector:
     return out
 
 
+def _require_finite(v: Vector, what: str) -> None:
+    """Raise ValueError naming the first entry of v that is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{what} entry {bad[0]} is not finite ({v[bad[0]]})")
+
+
 def _dot(a: Vector, b: Vector) -> float:
     """Sum of a_i * b_i in numpy's own loop: one thread, no overflow
     warning, and the same bits whatever the BLAS thread count or the
@@ -201,6 +208,15 @@ class BlockSpec:
             )
 
 
+def _slices(blocks) -> tuple[slice, ...]:
+    """Each block's slice of the joint vector, the blocks laid end to end."""
+    out, offset = [], 0
+    for b in blocks:
+        out.append(slice(offset, offset + b.dim))
+        offset += b.dim
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Stochastic objective oracle over a block-partitioned variable.
@@ -240,11 +256,7 @@ class ProblemInstance:
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
-        out, offset = [], 0
-        for b in self.blocks:
-            out.append(slice(offset, offset + b.dim))
-            offset += b.dim
-        return tuple(out)
+        return _slices(self.blocks)
 
     @cached_property
     def _grad_layout(self) -> tuple[tuple[int, slice, tuple[int]], ...]:
@@ -291,35 +303,18 @@ class ProblemInstance:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MaxIters:
-    """Stop at max_iters only."""
-
-
-@dataclass(frozen=True)
-class StepNormBelow:
-    """Stop once ||x^k - x^{k-1}|| / alpha_k <= eps."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"termination eps={self.eps} must be positive and finite")
-
-
-Termination = Union[MaxIters, StepNormBelow]
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Settings of one run.  ``n_workers`` is kept for callers that set it
-    and must be >= 1, but selects nothing: every run is serial."""
+    """Settings of one run.  With ``term_eps`` set, a run also stops once
+    ||x^k - x^{k-1}|| / alpha_k <= term_eps; without it, at ``max_iters``
+    only.  ``n_workers`` is kept for callers that set it and must be >= 1,
+    but selects nothing: every run is serial."""
 
     schedule: Schedule = field(default_factory=Schedule)
     batch_size: int = 1
     max_iters: int = 1000
     seed: int = 0
     eval_every: int = 100
-    termination: Termination = field(default_factory=MaxIters)
+    term_eps: Optional[float] = None
     n_workers: int = 1
 
     def __post_init__(self):
@@ -333,6 +328,8 @@ class RunConfig:
             raise ValueError("eval_every must be >= 1")
         if self.max_iters > 0 and self.eval_every > self.max_iters:
             raise ValueError("eval_every must not exceed max_iters")
+        if self.term_eps is not None and not 0 < self.term_eps < np.inf:
+            raise ValueError(f"term_eps={self.term_eps} must be positive and finite")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
 
@@ -489,8 +486,8 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
     advances the method's state and returns its reported point as a fresh
     array (``x`` is the one before the first step).  Records are taken at
     the reported point every ``eval_every`` iterations and at the last, with
-    the error of the live tracker ``h`` when given.  ``StepNormBelow`` stops
-    the run, recorded, once the reported step over alpha_k is at most eps.
+    the error of the live tracker ``h`` when given.  ``config.term_eps`` stops
+    the run, recorded, once the reported step over alpha_k is at most it.
     ``sample_log`` collects copies of the first 100 batches for
     sample-stream audits.
 
@@ -501,8 +498,7 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
     this is the stream of one call per iteration.
     """
     rng, schedule = np.random.default_rng(config.seed), config.schedule
-    term = config.termination
-    eps = term.eps if isinstance(term, StepNormBelow) else None
+    eps = config.term_eps
     trace: list[TraceRecord] = []
     size, per_draw, draws, offset = config.batch_size, 1, (), 0
     started_ns = time.perf_counter_ns()
@@ -570,9 +566,13 @@ def run(problem: ProblemInstance, config: RunConfig, x0=None,
 
     The :func:`block_step` update under :func:`drive`; the result is
     deterministic for a fixed seed.  An infeasible start is projected at
-    entry.
+    entry; a given start that is not finite after that raises ValueError.
     """
-    x = problem.default_start() if x0 is None else problem.project(x0)
+    if x0 is None:
+        x = problem.default_start()
+    else:
+        x = problem.project(x0)
+        _require_finite(x, "projected x0")
     h = np.zeros(problem.dim)
     return drive(problem, config, x, block_step(problem, x, h), h, sample_log,
                  iteration_callback)

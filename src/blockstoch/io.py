@@ -168,15 +168,14 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     return SvmDataset(indptr, indices, values, labels, int(num_features), name)
 
 
-def load_libsvm(path, num_features: Optional[int] = None, name: Optional[str] = None,
-                remap_zero_one: bool = False,
+def load_libsvm(path, num_features: Optional[int] = None, remap_zero_one: bool = False,
                 features_from: str = "num_features") -> SvmDataset:
-    """Read a LIBSVM file from disk; see :func:`parse_libsvm`.  A ParseError names the file."""
+    """Read a LIBSVM file from disk; see :func:`parse_libsvm`.  The dataset
+    takes the file's name, and a ParseError names the file."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-        return parse_libsvm(lines, num_features, path.name if name is None else name,
-                            remap_zero_one, features_from)
+        return parse_libsvm(lines, num_features, path.name, remap_zero_one, features_from)
     except UnicodeDecodeError as exc:
         raise ParseError(None, f"not valid UTF-8 text ({exc})", path) from None
     except ParseError as exc:

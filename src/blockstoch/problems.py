@@ -19,6 +19,8 @@ from .core import (
     Unconstrained,
     Vector,
     _dot,
+    _require_finite,
+    _slices,
 )
 
 
@@ -293,6 +295,8 @@ class QuadraticProblem:
         c = np.asarray(self.curvature, dtype=np.float64)
         if mu.shape != c.shape or mu.ndim != 1:
             raise ValueError("target and curvature must be 1-D with equal shape")
+        _require_finite(mu, "target")
+        _require_finite(c, "curvature")
         if np.any(c <= 0):
             raise ValueError("curvature must be strictly positive")
         if not 0 <= self.noise_stddev < np.inf:
@@ -324,20 +328,13 @@ class QuadraticProblem:
         supported only with isotropic curvature (plain projection).
         """
         out = np.empty(self.dim)
-        offset = 0
-        for spec in self.blocks:
-            sl = slice(offset, offset + spec.dim)
-            fs = spec.feasible_set
-            if isinstance(fs, (Unconstrained, Box)):
-                out[sl] = fs.project(self.target[sl])
-            elif isinstance(fs, L2Ball):
-                c_block = self.curvature[sl]
-                if not np.allclose(c_block, c_block[0]):
-                    raise ValueError("ball-constrained optimum needs isotropic curvature")
-                out[sl] = fs.project(self.target[sl])
-            else:
+        for sl, spec in zip(_slices(self.blocks), self.blocks):
+            fs, c_block = spec.feasible_set, self.curvature[sl]
+            if not isinstance(fs, (Unconstrained, Box, L2Ball)):
                 raise ValueError(f"unsupported feasible set {type(fs).__name__}")
-            offset += spec.dim
+            if isinstance(fs, L2Ball) and not np.allclose(c_block, c_block[0]):
+                raise ValueError("ball-constrained optimum needs isotropic curvature")
+            out[sl] = fs.project(self.target[sl])
         return out
 
     def optimal_value(self) -> float:
@@ -345,8 +342,7 @@ class QuadraticProblem:
 
     def instance(self) -> ProblemInstance:
         mu, c, sigma = self.target, self.curvature, self.noise_stddev
-        bounds = np.concatenate(([0], np.cumsum([b.dim for b in self.blocks])))
-        slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        slices = _slices(self.blocks)
 
         def sample_batch(rng, size):
             z = rng.standard_normal((size, mu.size))

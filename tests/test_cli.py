@@ -132,7 +132,7 @@ BAD_VALUES = [
     ("compare-rho-avg-inf", ("compare",), "svm", ("--rho-avg", "inf"),
      "--rho-avg: rho_avg=inf "),
     ("term-eps-inf", ("run", "--method", "proposed"), "quad-d4", ("--term-eps", "inf"),
-     "--term-eps: termination eps=inf "),
+     "--term-eps: term_eps=inf "),
     ("sigma-overflow", ("run", "--method", "proposed"), "quad-d4-s1e999", (),
      "--synthetic: quad-d4-s1e999: noise_stddev=inf: "),
     ("file-sigma-nan", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=nan\n",

@@ -18,7 +18,6 @@ from blockstoch import (
     ProblemInstance,
     RunConfig,
     Schedule,
-    StepNormBelow,
     SvmProblem,
     Unconstrained,
     UnsupportedOperationError,
@@ -533,8 +532,7 @@ class TestRun:
 
     def test_step_norm_termination(self):
         quad = make_quadratic(2, noise_stddev=0.0, target=[1.0, 1.0])
-        config = RunConfig(max_iters=100_000, eval_every=1000, seed=0,
-                           termination=StepNormBelow(1e-6))
+        config = RunConfig(max_iters=100_000, eval_every=1000, seed=0, term_eps=1e-6)
         x, trace = run(quad.instance(), config, x0=np.array([2.0, 2.0]))
         assert trace[-1].k < 100_000
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-4)
@@ -654,7 +652,7 @@ class TestDriver:
             ratios = [r.step_norm / schedule.alpha(r.k) for r in every_step]
             eps = min(ratios[:150])
             first = next(k for k, ratio in enumerate(ratios, 1) if ratio <= eps)
-            x, trace = method(replace(full, eval_every=50, termination=StepNormBelow(eps)))
+            x, trace = method(replace(full, eval_every=50, term_eps=eps))
             assert [r.k for r in trace] == [k for k in range(50, first, 50)] + [first], name
             assert records_without_time(trace[-1:]) == \
                 records_without_time(every_step[first - 1:first]), name
@@ -938,13 +936,13 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(n_workers=0)
         with pytest.raises(ValueError):
-            StepNormBelow(0.0)
+            RunConfig(term_eps=0.0)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_step_norm_rule_needs_finite_eps(self, eps):
         # eps=inf would stop every run after its first iteration.
-        with pytest.raises(ValueError, match=r"^termination"):
-            StepNormBelow(eps)
+        with pytest.raises(ValueError, match=r"^term_eps"):
+            RunConfig(term_eps=eps)
 
     def test_rejects_negative_seed(self):
         # Caught when the config is built, not by numpy inside the run.

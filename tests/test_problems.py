@@ -6,6 +6,7 @@ import pytest
 from blockstoch import (
     Box,
     L2Ball,
+    RunConfig,
     SparseExample,
     SvmDataset,
     SvmProblem,
@@ -14,6 +15,7 @@ from blockstoch import (
     make_nonconvex_toy,
     make_quadratic,
     make_separable_dataset,
+    run,
     stationarity_residual,
     svm_accuracy,
     svm_objective,
@@ -375,6 +377,26 @@ class TestQuadratic:
     def test_rejects_bad_noise(self, sigma):
         with pytest.raises(ValueError, match=r"^noise_stddev=.*finite and >= 0"):
             make_quadratic(3, noise_stddev=sigma)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_quadratic(2, target=[np.nan, 0.0]), r"target entry 0 is not finite \(nan\)"),
+        (lambda: make_quadratic(2, target=[0.0, -np.inf]), r"target entry 1 is not finite \(-inf\)"),
+        (lambda: make_quadratic(2, curvature=[1.0, np.nan]),
+         r"curvature entry 1 is not finite \(nan\)"),
+        (lambda: make_quadratic(2, curvature=[np.inf, 1.0]),
+         r"curvature entry 0 is not finite \(inf\)"),
+        (lambda: run(make_quadratic(2).instance(), RunConfig(max_iters=1, eval_every=1),
+                     x0=[np.nan, 0.0]),
+         r"projected x0 entry 0 is not finite \(nan\)"),
+        (lambda: run(make_quadratic(2).instance(), RunConfig(max_iters=1, eval_every=1),
+                     x0=[0.0, np.inf]),
+         r"projected x0 entry 1 is not finite \(inf\)"),
+    ], ids=["target-nan", "target-inf", "curvature-nan", "curvature-inf", "x0-nan", "x0-inf"])
+    def test_rejects_non_finite_input_before_the_run(self, build, message):
+        # Each used to pass construction and fail at iteration 1 as a
+        # NumericalFailureError about the sample gradient.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 # ---------------------------------------------------------------------------
