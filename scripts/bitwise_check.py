@@ -11,7 +11,8 @@ relative difference over the numbers it holds (iterate entries, trace
 values, numbers in the CLI's files), or says that one tree lacks the
 entry or that the two hold different counts of numbers.  The
 configurations are the benchmark's svm-loop shape (planted 1000 x 20
-SVM, 4 blocks, B = 1, schedule (0.51, 0.75, 5.0)), a Box/L2Ball
+SVM, 4 blocks, B = 1, schedule (0.51, 0.75, 5.0)), the same at B = 64
+(``svm-loop-b64``, where a mini-batch's rows meet each block), a Box/L2Ball
 quadratic at batch 4, a quadratic at batch 4 with one Unconstrained,
 one Box and one L2Ball block (so Adam's projected path runs with an
 unconstrained block in it), and a parsed-sparse SVM at
@@ -144,6 +145,7 @@ with tempfile.TemporaryDirectory() as tmp:
         os.chdir(cwd)
 for name, problem, schedule, batch, iters in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1, 2000),
+        ("svm-loop-b64", svm, Schedule(0.51, 0.75, 5.0), 64, 2000),
         ("quad-box-ball", quad, Schedule(), 4, 2000),
         ("quad-mixed", mixed, Schedule(), 4, 2000),
         ("parsed-sparse", parsed, Schedule(), 4, 2000),

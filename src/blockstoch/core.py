@@ -169,6 +169,10 @@ class L2Ball:
         dist = _norm(offset)
         if dist <= self.radius:
             return p.copy()
+        if not math.isfinite(dist):  # overflow or inf: scale by the largest entry
+            scale = float(np.abs(offset).max())  # or take inf signs; NaN stays NaN
+            offset = np.sign(offset) * np.isinf(offset) if scale == math.inf else offset / scale
+            dist = _norm(offset)
         return self.center + (self.radius / dist) * offset
 
     def centroid(self) -> Vector:
@@ -228,10 +232,12 @@ class ProblemInstance:
     batches in one call and hands each iteration its rows, a view).
     ``batch_grad(batch, x, l)`` returns the batch-mean cost gradient over
     block ``l`` at the joint point ``x``, a numpy array of shape
-    ``(block dim,)``.  Gradients must be unbiased estimates of the true
-    gradient with bounded variance; the problems in
-    :mod:`blockstoch.problems` satisfy this by construction and the test
-    suite checks it statistically.
+    ``(block dim,)``.  Block calls on one pair of ``batch`` and ``x`` objects
+    may share one joint computation (the SVM's do), so a caller that changes
+    either in place between block calls must pass new objects.  Gradients
+    must be unbiased estimates of the true gradient with bounded variance;
+    the problems in :mod:`blockstoch.problems` satisfy this by construction
+    and the test suite checks it statistically.
 
     ``true_objective``/``true_gradient`` are optional exact oracles used
     for trace metrics and verification; ``x0`` is an optional preferred

@@ -192,19 +192,11 @@ class SvmProblem:
     def with_blocks(cls, dataset: SvmDataset, lam: float, n_blocks: int) -> "SvmProblem":
         return cls(dataset, lam, even_partition(dataset.num_features, n_blocks))
 
-    @cached_property
-    def block_cuts(self) -> np.ndarray:
-        """(L + 1, m) offsets into the dataset's entries: row i's entries in
-        block l are ``indices[cuts[l, i]:cuts[l + 1, i]]``."""
-        ds, n_blocks = self.dataset, len(self.block_ranges)
-        starts = [a for a, _ in self.block_ranges[1:]]
-        # Entry keys row * L + block never fall, so one search finds every cut.
-        keys = np.repeat(np.arange(ds.m) * n_blocks, np.diff(ds.indptr))
-        keys += np.searchsorted(starts, ds.indices, "right")
-        flat = np.searchsorted(keys, np.arange(ds.m * n_blocks + 1))
-        return np.vstack((flat[:-1].reshape(ds.m, n_blocks).T, flat[n_blocks::n_blocks]))
-
     def instance(self) -> ProblemInstance:
+        """``batch_grad`` computes the joint batch-mean gradient once per pair of
+        ``batch`` and ``x`` objects (``is``); a caller that changes either in
+        place between block calls must pass new objects.  The memo is one tuple,
+        read and replaced whole, so threads sharing it never mix key and gradient."""
         ds = self.dataset
         lam = self.lam
         ranges = self.block_ranges
@@ -212,22 +204,22 @@ class SvmProblem:
         indices, values = ds.indices, ds.values
         # memoryview indexing yields Python scalars, several times faster than numpy's.
         bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
-        cuts = tuple(memoryview(row) for row in self.block_cuts)
+        memo = (None, None, None)  # (batch, x, joint gradient)
 
         def batch_grad(batch, x, l):
+            nonlocal memo
             start, stop = ranges[l]
-            first, last = cuts[l], cuts[l + 1]
-            x = np.asarray(x, dtype=np.float64)
-            g = lam * x[start:stop]
-            tokens = batch.tolist()
-            for i in tokens:
-                lo, hi = first[i], last[i]
-                if lo == hi:
-                    continue  # no entry in the block: the hinge term has no coordinate here
-                a, b, y = bounds[i], bounds[i + 1], labels[i]
-                if y * values[a:b].dot(x[indices[a:b]]) <= 1.0:
-                    g[indices[lo:hi] - start] -= (y / len(tokens)) * values[lo:hi]
-            return g
+            memo_batch, memo_x, g = memo
+            if memo_batch is not batch or memo_x is not x:
+                w = np.asarray(x, dtype=np.float64)
+                g = lam * w
+                tokens = batch.tolist()
+                for i in tokens:
+                    a, b, y = bounds[i], bounds[i + 1], labels[i]
+                    if y * values[a:b].dot(w[indices[a:b]]) <= 1.0:
+                        g[indices[a:b]] -= (y / len(tokens)) * values[a:b]
+                memo = (batch, x, g)
+            return g[start:stop].copy()
 
         def sample_batch(rng, size):
             return rng.integers(0, m, size=size)

@@ -86,9 +86,10 @@ def naive_svm_objective(w, dataset, lam):
 
 
 def searched_svm_batch_grad(problem, batch, x, l):
-    """Block l of the SVM batch-mean gradient, the way the oracle computed it
-    before ``SvmProblem.block_cuts``: per token the full-row margin, then a
-    ``searchsorted`` of the row's indices for the block's run of entries."""
+    """Block l of the SVM batch-mean gradient, computed for that block alone:
+    per token the full-row margin, then a ``searchsorted`` of the row's
+    indices for the block's run of entries.  It subtracts in the same batch
+    order as the library's joint oracle, so the two agree bit for bit."""
     ds, lam = problem.dataset, problem.lam
     start, stop = problem.block_ranges[l]
     x = np.asarray(x, dtype=np.float64)

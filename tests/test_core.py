@@ -140,6 +140,23 @@ class TestProject:
         ball = L2Ball([0.0, 0.0], 1.0)
         np.testing.assert_allclose(project(ball, [3.0, 4.0]), [0.6, 0.8])
 
+    @pytest.mark.parametrize("point, expected", [
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([0.0, np.inf], [0.0, 1.0]),
+        ([-np.inf, np.inf], [-math.sqrt(0.5), math.sqrt(0.5)]),
+        ([-1e300, 1e300], [-math.sqrt(0.5), math.sqrt(0.5)]),
+        ([np.nan, 0.0], [np.nan, np.nan]),
+        ([np.nan, np.inf], [np.nan, np.nan]),
+    ], ids=["overflowing-norm", "infinite-entry", "two-infinite-entries",
+            "two-overflowing-entries", "nan", "nan-and-inf"])
+    def test_ball_projects_far_points_along_their_direction(self, point, expected):
+        # The plain radial scaling sent [1e200, 0] to the centre (radius / inf
+        # is 0) and an infinite entry to NaN, with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project(L2Ball([0.0, 0.0], 1.0), point)
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
     def test_unconstrained_identity(self):
         free = Unconstrained(3)
         p = np.array([5.0, -2.0, 0.0])

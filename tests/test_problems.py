@@ -1,5 +1,8 @@
 """Problem oracles: SVM pieces, synthetic quadratic, nonconvex toy."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from blockstoch import (
     make_quadratic,
     make_separable_dataset,
     run,
+    run_adam,
     stationarity_residual,
     svm_accuracy,
     svm_objective,
@@ -267,20 +271,6 @@ class TestSvmProblem:
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("n_blocks", [1, 4, 7, 11])
-    def test_block_cuts_are_the_searched_block_starts(self, n_blocks):
-        ds = random_dataset(np.random.default_rng(8), m=30, n=11, density=0.3,
-                            empty_rows=(0, 13, 29))
-        prob = SvmProblem.with_blocks(ds, 0.01, n_blocks)
-        edges = [a for a, _ in prob.block_ranges] + [ds.num_features]
-        searched = [ds.indptr[i] + ds.indices[ds.indptr[i]:ds.indptr[i + 1]].searchsorted(edges)
-                    for i in range(ds.m)]
-        cuts = prob.block_cuts
-        assert cuts.dtype == np.int64
-        np.testing.assert_array_equal(cuts.T, searched)
-        prob.instance()
-        assert prob.block_cuts is cuts  # built once per problem
-
-    @pytest.mark.parametrize("n_blocks", [1, 4, 7, 11])
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_batch_grad_matches_searched_oracle_bitwise(self, n_blocks, batch_size):
         # Sparse rows over 7 blocks of 1-2 features: many rows miss some
@@ -302,6 +292,61 @@ class TestSvmProblem:
                 want = oracles.searched_svm_batch_grad(prob, batch, w, l)
                 assert got.tobytes() == want.tobytes(), (batch, l)
         assert hinge_active == {True, False}
+
+    def test_block_calls_answer_for_their_own_batch_and_point(self):
+        # The oracle keeps one joint gradient per (batch, x) pair of objects.
+        # Blocks asked in reverse, interleaved over pairs that share a batch
+        # or a point, must each be the gradient of their own pair.
+        rng = np.random.default_rng(10)
+        ds = random_dataset(rng, m=30, n=11, density=0.3, empty_rows=(0, 13, 29))
+        prob = SvmProblem.with_blocks(ds, 0.01, 4)
+        inst = prob.instance()
+        first, second = inst.sample_batch(rng, 8), inst.sample_batch(rng, 8)
+        w = rng.standard_normal(11)
+        other_w = w + rng.standard_normal(11)
+        pairs = [(first, w), (first, other_w), (second, w)]
+        hinge_active = set()
+        for batch, x in pairs:
+            hinge_active.update((ds.labels * (ds.matrix @ x))[batch] <= 1.0)
+        assert hinge_active == {True, False}
+        for _ in range(2):
+            for l in reversed(range(4)):
+                for batch, x in pairs:
+                    got = inst.batch_grad(batch, x, l)
+                    want = oracles.searched_svm_batch_grad(prob, batch, x, l)
+                    assert got.tobytes() == want.tobytes(), (l, batch)
+
+    def test_concurrent_runs_on_one_instance_match_serial_runs(self):
+        # Six runs share one instance, and so its memo, with the interpreter
+        # asked to switch threads as often as it can.
+        ds, _ = make_separable_dataset(80, 8, seed=4)
+        inst = SvmProblem.with_blocks(ds, 0.01, 4).instance()
+        jobs = [(run if seed % 2 else run_adam, seed) for seed in range(6)]
+
+        def outcome(method, seed):
+            x, trace = method(inst, RunConfig(batch_size=4, max_iters=400, eval_every=50,
+                                              seed=seed))
+            return x.tobytes(), [(r.k, r.objective, r.step_norm, r.tracker_error)
+                                 for r in trace]
+
+        serial = {seed: outcome(method, seed) for method, seed in jobs}
+        concurrent = {}
+
+        def work(method, seed):
+            concurrent[seed] = outcome(method, seed)
+
+        threads = [threading.Thread(target=work, args=job, daemon=True) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert concurrent == serial
 
     def test_default_start_is_all_ones(self):
         ds, _ = make_separable_dataset(10, 6, seed=2)
