@@ -26,7 +26,11 @@ corpus at batch 4 over 7 uneven blocks, so block boundaries fall inside
 rows and some rows have no entry in some blocks.
 ``parsed-sparse-per-feature-b1`` and ``-b4`` run it with one block per
 feature, at batch 1 and 4: a row has 0-8 entries over 30 features, so
-most (row, block) pairs are empty.  ``quad-refill`` is a
+most (row, block) pairs are empty.  ``cov-per-feature-b8`` is the
+COV1 shape at one block per feature: a 2000-row train file from
+``perfbench/covgen.make_split`` (imported from the ``perfbench`` directory
+beside this script, so both trees read the same file), read back with
+``load_libsvm`` and run over 54 blocks at batch 8.  ``quad-refill`` is a
 4096-wide quadratic at batch 4 in a Box and an Unconstrained block: one
 batch is an eighth of ``blockstoch.core.DRAW_BYTES``, so the run's 2000
 iterations take their batches from 250 prefetched draws of 8 and cross
@@ -69,6 +73,7 @@ from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, Unconstrai
                         make_quadratic, make_separable_dataset, run, run_adam,
                         run_averaged_sca, run_pegasos)
 from blockstoch.io import load_libsvm, subsample
+import covgen
 
 def digest(x, trace):
     rows = [(r.k, r.objective, r.step_norm, r.tracker_error) for r in trace]
@@ -108,6 +113,10 @@ with tempfile.TemporaryDirectory() as tmp:
     cuts = (0, 1, 3, 8, 9, 17, 26, corpus.num_features)
     parsed7 = SvmProblem(corpus, 1e-2, tuple(zip(cuts[:-1], cuts[1:])))
     per_feature = SvmProblem.with_blocks(corpus, 1e-2, corpus.num_features)
+    cov_path = Path(tmp) / "cov.libsvm"
+    cov_path.write_text(covgen.make_split(3, 2000, 1)[0], encoding="utf-8")
+    cov = load_libsvm(cov_path)
+    cov_per_feature = SvmProblem.with_blocks(cov, 1e-4, cov.num_features)
     # Relative paths keep the manifests free of the temporary directory's name.
     cwd = os.getcwd()
     os.chdir(tmp)
@@ -153,7 +162,8 @@ for name, problem, schedule, batch, iters in (
         ("parsed-sparse-per-feature-b1", per_feature, Schedule(), 1, 2000),
         ("parsed-sparse-per-feature-b4", per_feature, Schedule(), 4, 2000),
         ("quad-refill", refill, Schedule(), 4, 2000),
-        ("quad-wide-20k", wide, Schedule(), 1, 300)):
+        ("quad-wide-20k", wide, Schedule(), 1, 300),
+        ("cov-per-feature-b8", cov_per_feature, Schedule(0.51, 0.75, 5.0), 8, 2000)):
     inst = problem.instance()
     config = RunConfig(schedule=schedule, batch_size=batch, max_iters=iters, eval_every=100,
                        seed=5)
@@ -167,9 +177,14 @@ json.dump(out, sys.stdout)
 '''
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
 def results(src: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", WORKER], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
+                          env={**os.environ, "PYTHONPATH": src + os.pathsep + PERFBENCH},
+                          check=True)
     return json.loads(proc.stdout)
 
 

@@ -103,8 +103,8 @@ class Box:
     """Axis-aligned box {p : lower <= p <= upper}.
 
     Infinite bounds are accepted (a relaxation of compactness, like
-    Unconstrained); clamping handles them transparently.  NaN bounds are
-    rejected.
+    Unconstrained); clamping handles them transparently.  NaN bounds, and a
+    coordinate with no finite point (lower +inf or upper -inf), are rejected.
     """
 
     lower: Vector
@@ -119,6 +119,9 @@ class Box:
             raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box requires lower[i] <= upper[i] for all i")
+        empty = np.flatnonzero((lo == np.inf) | (hi == -np.inf))
+        if empty.size:
+            raise ValueError(f"box coordinate {empty[0]} holds no finite point")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -232,8 +235,9 @@ class ProblemInstance:
     batches in one call and hands each iteration its rows, a view).
     ``batch_grad(batch, x, l)`` returns the batch-mean cost gradient over
     block ``l`` at the joint point ``x``, a numpy array of shape
-    ``(block dim,)``.  Block calls on one pair of ``batch`` and ``x`` objects
-    may share one joint computation (the SVM's do), so a caller that changes
+    ``(block dim,)``, which may be read-only.  Block calls on one pair of
+    ``batch`` and ``x`` objects may share one joint computation (the SVM's
+    blocks are read-only views of one gradient), so a caller that changes
     either in place between block calls must pass new objects.  Gradients
     must be unbiased estimates of the true gradient with bounded variance;
     the problems in :mod:`blockstoch.problems` satisfy this by construction
@@ -241,7 +245,7 @@ class ProblemInstance:
 
     ``true_objective``/``true_gradient`` are optional exact oracles used
     for trace metrics and verification; ``x0`` is an optional preferred
-    start point (the engine falls back to feasible-set centroids).
+    start point (:meth:`default_start`).
     """
 
     blocks: tuple[BlockSpec, ...]
@@ -265,11 +269,6 @@ class ProblemInstance:
         return _slices(self.blocks)
 
     @cached_property
-    def _grad_layout(self) -> tuple[tuple[int, slice, tuple[int]], ...]:
-        return tuple((l, sl, (b.dim,))
-                     for l, (sl, b) in enumerate(zip(self.block_slices, self.blocks)))
-
-    @cached_property
     def constrained_blocks(self) -> tuple[tuple[slice, FeasibleSet], ...]:
         """(slice, set) of every block whose set is not ``Unconstrained``:
         the blocks a projection changes.  The rest project to themselves."""
@@ -286,18 +285,23 @@ class ProblemInstance:
             out[sl] = feasible_set.project(x[sl])
         return out
 
-    def default_start(self) -> Vector:
-        if self.x0 is not None:
-            return self.project(self.x0)
-        return np.concatenate([b.feasible_set.centroid() for b in self.blocks])
+    def default_start(self, x0=None) -> Vector:
+        """Every method's start: ``x0``, else the instance's ``x0``, projected
+        and checked finite (ValueError); without either, the blocks' centroids."""
+        x0 = self.x0 if x0 is None else x0
+        if x0 is None:
+            return np.concatenate([b.feasible_set.centroid() for b in self.blocks])
+        x = self.project(x0)
+        _require_finite(x, "projected x0")
+        return x
 
     def gather_grad(self, batch, x: Vector, out: Vector) -> Vector:
         """Write the batch-mean gradient at x into the joint vector out, one
         ``batch_grad`` call per block, and return out.  A block gradient
         that is not an array of shape ``(block dim,)`` raises ValueError."""
-        for l, sl, shape in self._grad_layout:
+        for l, sl in enumerate(self.block_slices):
             g_l = self.batch_grad(batch, x, l)
-            shape_l = getattr(g_l, "shape", None)
+            shape_l, shape = getattr(g_l, "shape", None), (sl.stop - sl.start,)
             if shape_l != shape:
                 raise ValueError(f"block {l} gradient has shape {shape_l}, expected {shape}")
             out[sl] = g_l
@@ -570,15 +574,10 @@ def run(problem: ProblemInstance, config: RunConfig, x0=None,
         ) -> tuple[Vector, list[TraceRecord]]:
     """Run the solver and return (final joint iterate, trace records).
 
-    The :func:`block_step` update under :func:`drive`; the result is
-    deterministic for a fixed seed.  An infeasible start is projected at
-    entry; a given start that is not finite after that raises ValueError.
+    The :func:`block_step` update under :func:`drive`, from
+    ``problem.default_start(x0)``; the result is deterministic for a fixed seed.
     """
-    if x0 is None:
-        x = problem.default_start()
-    else:
-        x = problem.project(x0)
-        _require_finite(x, "projected x0")
+    x = problem.default_start(x0)
     h = np.zeros(problem.dim)
     return drive(problem, config, x, block_step(problem, x, h), h, sample_log,
                  iteration_callback)

@@ -278,18 +278,19 @@ def write_manifest(entries: Mapping[str, object], path) -> None:
     lines = []
     for key, value in entries.items():
         key = str(key)
-        if "=" in key or "\n" in key:
+        if "=" in key or "\n" in key or "\r" in key:
             raise ValueError(f"bad manifest key {key!r}")
         text = str(value)
-        if "\n" in text:
-            raise ValueError(f"manifest value for {key!r} contains a newline")
+        if "\n" in text or "\r" in text:
+            raise ValueError(f"manifest value for {key!r} contains a line break")
         lines.append(f"{key}={text}\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_manifest(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    # Not splitlines(): it also breaks at \x0b, \x1c, \u2028, ..., which values may hold.
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")

@@ -194,7 +194,8 @@ class SvmProblem:
 
     def instance(self) -> ProblemInstance:
         """``batch_grad`` computes the joint batch-mean gradient once per pair of
-        ``batch`` and ``x`` objects (``is``); a caller that changes either in
+        ``batch`` and ``x`` objects (``is``) and returns read-only views of it, so
+        no write can corrupt another block's hit; a caller that changes either in
         place between block calls must pass new objects.  The memo is one tuple,
         read and replaced whole, so threads sharing it never mix key and gradient."""
         ds = self.dataset
@@ -218,8 +219,9 @@ class SvmProblem:
                     a, b, y = bounds[i], bounds[i + 1], labels[i]
                     if y * values[a:b].dot(w[indices[a:b]]) <= 1.0:
                         g[indices[a:b]] -= (y / len(tokens)) * values[a:b]
+                g.flags.writeable = False
                 memo = (batch, x, g)
-            return g[start:stop].copy()
+            return g[start:stop]
 
         def sample_batch(rng, size):
             return rng.integers(0, m, size=size)

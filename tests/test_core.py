@@ -191,6 +191,12 @@ class TestProject:
             Box([1.0], [0.0])
         with pytest.raises(ValueError):
             L2Ball([0.0], -1.0)
+        # A coordinate bounded by +inf below or -inf above holds no finite
+        # point; its centroid would lie outside the box.
+        for lower, upper, i in (([np.inf], [np.inf], 0), ([-np.inf], [-np.inf], 0),
+                                ([0.0, np.inf], [1.0, np.inf], 1)):
+            with pytest.raises(ValueError, match=f"^box coordinate {i} holds no finite point$"):
+                Box(lower, upper)
 
     def test_box_with_infinite_bounds(self):
         half = Box([1.0, 1.0], [np.inf, np.inf])

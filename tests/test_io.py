@@ -450,6 +450,20 @@ class TestManifest:
         with pytest.raises(ValueError):
             write_manifest({"a": "x\ny"}, tmp_path / "m.txt")
 
+    @pytest.mark.parametrize("value", ["a\x0bb", "a\x0cb", "a\x1cb", "a\x1db", "a\x1eb",
+                                       "a\x85b", "a\u2028b", "a\u2029b"])
+    def test_round_trip_keeps_characters_that_splitlines_breaks_at(self, tmp_path, value):
+        path = tmp_path / "m.txt"
+        write_manifest({"command": value, "dataset_path": value + ".libsvm", "seed": 1}, path)
+        assert read_manifest(path) == {"command": value, "dataset_path": value + ".libsvm",
+                                       "seed": "1"}
+
+    @pytest.mark.parametrize("entries", [{"a": "x\ry"}, {"a\rb": 1}])
+    def test_rejects_carriage_returns(self, tmp_path, entries):
+        # Text mode reads a lone \r as a line break.
+        with pytest.raises(ValueError):
+            write_manifest(entries, tmp_path / "m.txt")
+
     def test_read_rejects_bad_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("novalue\n")

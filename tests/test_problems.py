@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from blockstoch import (
     make_separable_dataset,
     run,
     run_adam,
+    run_averaged_sca,
+    run_pegasos,
     stationarity_residual,
     svm_accuracy,
     svm_objective,
@@ -28,6 +31,17 @@ from blockstoch import (
 )
 
 import oracles
+
+
+def poisoned_start(inst):
+    """The instance with a NaN in its own start point."""
+    return replace(inst, x0=np.array([np.nan, 0.0]))
+
+
+def pegasos_from_poisoned_start():
+    problem = SvmProblem.with_blocks(make_separable_dataset(10, 2)[0], 0.1, 2)
+    return run_pegasos(problem, RunConfig(max_iters=1, eval_every=1),
+                       inst=poisoned_start(problem.instance()))
 
 
 def dense_example(values, label):
@@ -348,6 +362,25 @@ class TestSvmProblem:
         assert not any(t.is_alive() for t in threads)
         assert concurrent == serial
 
+    def test_blocks_are_read_only_views_of_one_gradient(self):
+        # A block is a view of the (batch, x) pair's joint gradient, so a
+        # write into it would corrupt the other blocks' later hits: numpy
+        # must refuse it.  A memo miss leaves earlier blocks as they were.
+        rng = np.random.default_rng(12)
+        ds = random_dataset(rng, m=30, n=11, density=0.3)
+        inst = SvmProblem.with_blocks(ds, 0.01, 3).instance()
+        batch, w = inst.sample_batch(rng, 8), rng.standard_normal(11)
+        blocks = [inst.batch_grad(batch, w, l) for l in range(3)]
+        for g_l in blocks:
+            with pytest.raises(ValueError):
+                g_l[0] = 0.0
+        joint = blocks[0].base
+        assert all(np.shares_memory(joint, g_l) for g_l in blocks)
+        kept = [g_l.tobytes() for g_l in blocks]
+        fresh = inst.batch_grad(inst.sample_batch(rng, 8), rng.standard_normal(11), 0)
+        assert not np.shares_memory(joint, fresh)
+        assert [g_l.tobytes() for g_l in blocks] == kept
+
     def test_default_start_is_all_ones(self):
         ds, _ = make_separable_dataset(10, 6, seed=2)
         inst = SvmProblem.with_blocks(ds, 0.1, 2).instance()
@@ -436,7 +469,21 @@ class TestQuadratic:
         (lambda: run(make_quadratic(2).instance(), RunConfig(max_iters=1, eval_every=1),
                      x0=[0.0, np.inf]),
          r"projected x0 entry 1 is not finite \(inf\)"),
-    ], ids=["target-nan", "target-inf", "curvature-nan", "curvature-inf", "x0-nan", "x0-inf"])
+        # Every method starts through ProblemInstance.default_start, which
+        # checks the instance's own x0 as run checks a given one.
+        (lambda: run(poisoned_start(make_quadratic(2).instance()),
+                     RunConfig(max_iters=1, eval_every=1)),
+         r"projected x0 entry 0 is not finite \(nan\)"),
+        (lambda: run_adam(poisoned_start(make_quadratic(2).instance()),
+                          RunConfig(max_iters=1, eval_every=1)),
+         r"projected x0 entry 0 is not finite \(nan\)"),
+        (lambda: run_averaged_sca(poisoned_start(make_quadratic(2).instance()),
+                                  RunConfig(max_iters=1, eval_every=1)),
+         r"projected x0 entry 0 is not finite \(nan\)"),
+        (pegasos_from_poisoned_start, r"projected x0 entry 0 is not finite \(nan\)"),
+    ], ids=["target-nan", "target-inf", "curvature-nan", "curvature-inf", "x0-nan", "x0-inf",
+            "instance-x0-proposed", "instance-x0-adam", "instance-x0-avg-sca",
+            "instance-x0-pegasos"])
     def test_rejects_non_finite_input_before_the_run(self, build, message):
         # Each used to pass construction and fail at iteration 1 as a
         # NumericalFailureError about the sample gradient.
