@@ -30,7 +30,14 @@ most (row, block) pairs are empty.  ``cov-per-feature-b8`` is the
 COV1 shape at one block per feature: a 2000-row train file from
 ``perfbench/covgen.make_split`` (imported from the ``perfbench`` directory
 beside this script, so both trees read the same file), read back with
-``load_libsvm`` and run over 54 blocks at batch 8.  ``quad-refill`` is a
+``load_libsvm`` and run over 54 blocks at batch 8.
+``quad-per-coordinate-b8`` and ``-b64`` run a 9-wide unconstrained
+quadratic in 9 one-coordinate blocks for 500 iterations at batch 8 and
+64: numpy sums a one-column slice of a batch in a different order from
+the whole batch's ``mean(axis=0)`` once the batch has 8 or more rows, so
+these entries tell a per-block batch mean from a joint one (at batch 4
+and below, and for 2- and 3-wide blocks, the two agreed wherever
+probed).  ``quad-refill`` is a
 4096-wide quadratic at batch 4 in a Box and an Unconstrained block: one
 batch is an eighth of ``blockstoch.core.DRAW_BYTES``, so the run's 2000
 iterations take their batches from 250 prefetched draws of 8 and cross
@@ -91,6 +98,8 @@ mixed = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.0, 9), n_
 refill = make_quadratic(4096, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 4096),
                         n_blocks=2, feasible_sets=[Box(-np.ones(2048), np.ones(2048)),
                                                    Unconstrained(2048)])
+per_coordinate = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.0, 9),
+                                n_blocks=9)
 wide = make_quadratic(20000, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 20000),
                       n_blocks=2, feasible_sets=[Box(-np.ones(10000), np.ones(10000)),
                                                  L2Ball(np.full(10000, 0.01), 30.0)])
@@ -163,7 +172,9 @@ for name, problem, schedule, batch, iters in (
         ("parsed-sparse-per-feature-b4", per_feature, Schedule(), 4, 2000),
         ("quad-refill", refill, Schedule(), 4, 2000),
         ("quad-wide-20k", wide, Schedule(), 1, 300),
-        ("cov-per-feature-b8", cov_per_feature, Schedule(0.51, 0.75, 5.0), 8, 2000)):
+        ("cov-per-feature-b8", cov_per_feature, Schedule(0.51, 0.75, 5.0), 8, 2000),
+        ("quad-per-coordinate-b8", per_coordinate, Schedule(), 8, 500),
+        ("quad-per-coordinate-b64", per_coordinate, Schedule(), 64, 500)):
     inst = problem.instance()
     config = RunConfig(schedule=schedule, batch_size=batch, max_iters=iters, eval_every=100,
                        seed=5)

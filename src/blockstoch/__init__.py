@@ -31,7 +31,6 @@ from .problems import (
     make_separable_dataset,
     svm_accuracy,
     svm_objective,
-    svm_sample_grad,
     svm_true_gradient,
 )
 from .baselines import (

@@ -14,21 +14,17 @@ and honours the same termination rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import (
-    NumericalFailureError,
     ProblemInstance,
     RunConfig,
     TraceRecord,
     Vector,
     _check_finite,
-    _dot,
-    _locate_nonfinite,
     block_step,
     drive,
 )
@@ -47,8 +43,8 @@ class AdamParams:
             raise ValueError(f"lr={self.lr}: must be positive and finite")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps={self.eps}: must be positive and finite")
 
 
 def check_rho_avg(rho_avg: float, schedule) -> None:
@@ -110,23 +106,6 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
     return w2, m2, v2
 
 
-def _check_adam_state(t: int, slices: tuple[slice, ...], g: Vector, w: Vector,
-                      v: Vector) -> None:
-    """Raise NumericalFailureError unless the gradient, the iterate and the
-    second moment are finite, with one reduction: w . v is finite unless an
-    entry of w or v is NaN or inf (a non-finite gradient, or a squared
-    entry that overflowed, makes v non-finite) or the sum overflows.  Only
-    then are the blocks scanned, gradient and iterate first as in
-    :func:`blockstoch.core._check_finite`, then the second moment, which
-    would freeze its coordinate."""
-    if math.isfinite(_dot(w, v)):
-        return
-    _locate_nonfinite(t, slices, g, w)
-    for l, sl in enumerate(slices):
-        if not np.isfinite(v[sl]).all():
-            raise NumericalFailureError(t, l, "second moment")
-
-
 def averaging_weight(k: int, rho_avg: float) -> float:
     """Vanishing averaging weight rho_k = k^-rho_avg with rho_1 = 1; a zero
     exponent pins the weight to 1 (no averaging)."""
@@ -169,8 +148,9 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     """Adam on the batch-mean stochastic gradient, projected when constrained.
 
     Besides the gradient and iterate, the second moment must stay finite: a
-    squared gradient entry that overflows would freeze its coordinate
-    (:func:`_check_adam_state`)."""
+    squared gradient entry that overflows would freeze its coordinate.
+    :func:`blockstoch.core._check_finite` checks all three with the one
+    product w . v."""
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
@@ -181,7 +161,7 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
         nonlocal w, m, v
         inst.gather_grad(batch, w, g)
         w, m, v = adam_step(w, g, m, v, t, params, project)
-        _check_adam_state(t, slices, g, w, v)
+        _check_finite(t, slices, g, w, v)
         return w
 
     return drive(inst, config, w, step, sample_log=sample_log)
@@ -196,8 +176,11 @@ def run_averaged_sca(problem: Union[ProblemInstance, SvmProblem], config: RunCon
     The inner iterate is exactly the proposed method's; the reported point
     is x_bar^k = (1 - rho_k) x_bar^{k-1} + rho_k x^k with rho_k = k^-rho_avg
     (rho_1 = 1).  Trace metrics are evaluated at the averaged point.
-    rho_avg = 0 pins rho_k = 1 and reproduces the core iterate exactly.
+    rho_avg = 0 pins rho_k = 1 and reproduces the core iterate exactly; a
+    negative, infinite or NaN rho_avg raises ValueError before the run.
     """
+    if not 0 <= rho_avg < np.inf:
+        raise ValueError(f"rho_avg={rho_avg} must be finite and >= 0")
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     x_avg = inst.default_start()
     h = np.zeros(inst.dim)

@@ -383,7 +383,7 @@ def explicit_weights(omegas) -> Vector:
         raise ValueError("omegas must be a non-empty 1-D sequence")
     if om[0] != 1.0:
         raise ValueError("first mixing weight must be exactly 1")
-    if np.any(om <= 0.0) or np.any(om > 1.0):
+    if not np.all((om > 0.0) & (om <= 1.0)):
         raise ValueError("all mixing weights must lie in (0, 1]")
     suffix = np.ones_like(om)
     if om.size > 1:
@@ -398,8 +398,8 @@ def minimize_surrogate(x_prev_l, h_l, alpha_k: float, feasible_set: FeasibleSet)
     unique constrained minimizer project(set, x_prev - alpha * h), which is
     what this returns.  The step obeys ||result - x_prev|| <= 2 alpha ||h||.
     """
-    if not alpha_k > 0:
-        raise ValueError(f"alpha_k must be positive, got {alpha_k}")
+    if not 0 < alpha_k < np.inf:
+        raise ValueError(f"alpha_k must be positive and finite, got {alpha_k}")
     x_prev_l = _as_vector(x_prev_l, "x_prev_l")
     h_l = _as_vector(h_l, "h_l")
     if x_prev_l.shape != h_l.shape:
@@ -413,8 +413,8 @@ def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> fl
     Zero exactly at first-order stationary points.  Requires the problem's
     true_gradient oracle.
     """
-    if not alpha_probe > 0:
-        raise ValueError("alpha_probe must be positive")
+    if not 0 < alpha_probe < np.inf:
+        raise ValueError(f"alpha_probe={alpha_probe} must be positive and finite")
     if problem.true_gradient is None:
         raise UnsupportedOperationError("stationarity residual needs true_gradient")
     x = _as_vector(x, "x")
@@ -452,25 +452,26 @@ def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector
     )
 
 
-def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vector) -> None:
-    """Raise NumericalFailureError unless the iterate and the joint gradient
-    (if any) are finite.  One reduction decides: x . g (x . x without a
-    gradient) is finite unless an entry of either is NaN or inf (inf * 0
-    is NaN) or the sum overflows, quietly; only then are the blocks
-    scanned by :func:`_locate_nonfinite`."""
-    if not math.isfinite(_dot(x, x if g is None else g)):
-        _locate_nonfinite(k, slices, g, x)
-
-
-def _locate_nonfinite(k: int, slices: tuple[slice, ...], g: Optional[Vector],
-                      x: Vector) -> None:
-    """Scan the blocks in order, gradient before iterate, and raise
-    NumericalFailureError naming the first non-finite one (if any)."""
+def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vector,
+                  v: Optional[Vector] = None) -> None:
+    """Raise NumericalFailureError unless the iterate, the joint gradient
+    and Adam's second moment v (each if given) are finite.  One reduction
+    decides: x . v, else x . g, else x . x, is finite unless an entry of
+    either is NaN or inf (inf * 0 is NaN; a non-finite gradient makes v
+    non-finite) or the sum overflows, quietly.  Only then are the blocks
+    scanned in order, gradient before iterate, then the second moment, and
+    the first non-finite one (if any) named."""
+    if math.isfinite(_dot(x, v if v is not None else x if g is None else g)):
+        return
     for l, sl in enumerate(slices):
         if g is not None and not np.isfinite(g[sl]).all():
             raise NumericalFailureError(k, l, "sample gradient")
         if not np.isfinite(x[sl]).all():
             raise NumericalFailureError(k, l, "iterate")
+    if v is not None:
+        for l, sl in enumerate(slices):
+            if not np.isfinite(v[sl]).all():
+                raise NumericalFailureError(k, l, "second moment")
 
 
 def _step_norm(x: Vector, x_prev: Vector) -> float:

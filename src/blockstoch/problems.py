@@ -122,23 +122,6 @@ class SvmDataset:
         return 100.0 * self.nnz / (self.m * self.num_features)
 
 
-def svm_sample_grad(w, ex: SparseExample, lam: float) -> Vector:
-    """Single-sample (sub)gradient of the regularized hinge cost.
-
-    Returns lam*w when the example clears the margin strictly
-    (y <x, w> > 1), else lam*w - y*x.  The boundary y <x, w> = 1 takes the
-    active-side subgradient (non-strict <=).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if ex.indices.size and ex.indices[-1] >= w.size:
-        raise ValueError("example dimension exceeds weight vector")
-    g = lam * w
-    margin = ex.label * float(ex.values @ w[ex.indices])
-    if margin <= 1.0:
-        g[ex.indices] -= ex.label * ex.values
-    return g
-
-
 def svm_objective(w, ds: SvmDataset, lam: float) -> float:
     """Regularized mean hinge loss (lam/2)||w||^2 + mean_i max(0, 1 - y_i <x_i, w>)."""
     w = np.asarray(w, dtype=np.float64)

@@ -104,6 +104,23 @@ def searched_svm_batch_grad(problem, batch, x, l):
     return g
 
 
+def svm_sample_grad(w, ex, lam):
+    """Single-sample (sub)gradient of the regularized hinge cost.
+
+    Returns lam*w when the example clears the margin strictly
+    (y <x, w> > 1), else lam*w - y*x.  The boundary y <x, w> = 1 takes the
+    active-side subgradient (non-strict <=).
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if ex.indices.size and ex.indices[-1] >= w.size:
+        raise ValueError("example dimension exceeds weight vector")
+    g = lam * w
+    margin = ex.label * float(ex.values @ w[ex.indices])
+    if margin <= 1.0:
+        g[ex.indices] -= ex.label * ex.values
+    return g
+
+
 def tracker_by_recursion(omegas, grads):
     """Reference tracker: fold the recursion step by step."""
     h = np.zeros_like(grads[0])

@@ -23,9 +23,9 @@ from blockstoch import (
     run_adam,
     run_averaged_sca,
     run_pegasos,
-    svm_sample_grad,
 )
 
+from oracles import svm_sample_grad
 from test_problems import dense_example
 
 
@@ -135,6 +135,9 @@ class TestAdamStep:
             AdamParams(beta2=-0.1)
         with pytest.raises(ValueError):
             AdamParams(eps=0.0)
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^eps=.*positive and finite"):
+                AdamParams(eps=eps)
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan])
     def test_lr_must_be_finite(self, lr):
@@ -187,6 +190,14 @@ class TestAveragedSca:
         for r in trace_avg:
             if r.k >= 1000:
                 assert r.objective >= core_by_k[r.k]
+
+    @pytest.mark.parametrize("rho_avg", [np.nan, -1.0, np.inf])
+    def test_rejects_a_non_averaging_exponent(self, rho_avg):
+        # NaN would report a NaN point unchecked, -1 a growing weight and inf
+        # a point frozen at x^1.
+        quad = make_quadratic(4, target=np.ones(4), n_blocks=2)
+        with pytest.raises(ValueError, match=r"^rho_avg="):
+            run_averaged_sca(quad.instance(), RunConfig(max_iters=20, eval_every=10), rho_avg)
 
 
 class TestFullRuns:

@@ -32,7 +32,7 @@ from blockstoch import (
     run_pegasos,
     stationarity_residual,
 )
-from blockstoch import baselines, core
+from blockstoch import core
 from blockstoch.core import _check_finite
 
 import oracles
@@ -101,6 +101,11 @@ class TestExplicitWeights:
     def test_first_weight_must_be_one(self):
         with pytest.raises(ValueError):
             explicit_weights([0.9, 0.5])
+
+    @pytest.mark.parametrize("omega", [0.0, -0.5, 1.5, np.nan, np.inf])
+    def test_later_weights_must_lie_in_unit_interval(self, omega):
+        with pytest.raises(ValueError, match=r"^all mixing weights must lie in \(0, 1\]$"):
+            explicit_weights([1.0, omega, 0.5])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -239,6 +244,9 @@ class TestMinimizeSurrogate:
             minimize_surrogate([0.0], [1.0], 0.0, Unconstrained(1))
         with pytest.raises(ValueError):
             minimize_surrogate([0.0], [1.0], -1.0, Unconstrained(1))
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^alpha_k must be positive and finite"):
+                minimize_surrogate([0.0, 1.0], [1.0, 0.0], alpha, Unconstrained(2))
 
     def test_equals_projection_closed_form(self):
         rng = np.random.default_rng(5)
@@ -389,6 +397,12 @@ class TestStationarityResidual:
         )
         with pytest.raises(UnsupportedOperationError):
             stationarity_residual(inst, np.zeros(1), 1e-3)
+
+    @pytest.mark.parametrize("alpha_probe", [0.0, -1.0, np.inf, np.nan])
+    def test_alpha_probe_must_be_positive_and_finite(self, alpha_probe):
+        inst = make_quadratic(2, noise_stddev=0.0, target=[0.0, 0.0]).instance()
+        with pytest.raises(ValueError, match=r"^alpha_probe=.* must be positive and finite$"):
+            stationarity_residual(inst, np.array([1.0, 0.0]), alpha_probe)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +845,7 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert core._dot(w, v) == np.inf
-            baselines._check_adam_state(1, SLICES, g, w, v)
+            _check_finite(1, SLICES, g, w, v)
 
     @pytest.mark.parametrize("grad, block", [([1.0, np.nan], 1), ([np.inf, 1.0], 0)])
     def test_adam_non_finite_gradient_is_located(self, grad, block):

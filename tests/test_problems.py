@@ -26,11 +26,11 @@ from blockstoch import (
     stationarity_residual,
     svm_accuracy,
     svm_objective,
-    svm_sample_grad,
     svm_true_gradient,
 )
 
 import oracles
+from oracles import svm_sample_grad
 
 
 def poisoned_start(inst):
