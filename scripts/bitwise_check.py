@@ -58,6 +58,9 @@ iteration count; the ``cli-term-eps`` entries run the same corpus through
 ``blockstoch compare --lambda 0.1 --term-eps 0.35``, whose stop rule ends
 each method before ``--iters`` (proposed at iteration 90, pegasos at 1602,
 adam at 1 and avg-sca at 2), and compare each method's trace and manifest.
+The ``cli-gen`` entries hold the bytes that ``blockstoch gen`` writes for
+each of its three specs (``separable-svm``, ``quadratic``,
+``nonconvex-toy``) with fixed flags and ``--seed 4``.
 """
 
 import json
@@ -159,6 +162,14 @@ with tempfile.TemporaryDirectory() as tmp:
             manifest = read_manifest(f"stop/{method}.manifest.txt")
             out[f"cli-term-eps/{method}"] = {
                 "trace": trace, "manifest": {k: v for k, v in manifest.items() if k not in timings}}
+        for spec, flags in (("separable-svm", ("--m", "40", "--n", "7", "--margin", "0.3")),
+                            ("quadratic", ("--dim", "12", "--sigma", "0.5")),
+                            ("nonconvex-toy", ("--sigma", "2.5"))):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["gen", spec, *flags, "--seed", "4", "--out", f"gen/{spec}"])
+            if code != 0:
+                raise SystemExit(f"gen {spec} exited {code}")
+            out[f"cli-gen/{spec}"] = Path(f"gen/{spec}").read_bytes().decode("utf-8")
     finally:
         os.chdir(cwd)
 for name, problem, schedule, batch, iters in (

@@ -109,8 +109,6 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
 def averaging_weight(k: int, rho_avg: float) -> float:
     """Vanishing averaging weight rho_k = k^-rho_avg with rho_1 = 1; a zero
     exponent pins the weight to 1 (no averaging)."""
-    if k == 1 or rho_avg == 0.0:
-        return 1.0
     return float(k) ** (-rho_avg)
 
 

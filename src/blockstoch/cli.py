@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import re
 import shlex
 import sys
@@ -127,6 +126,8 @@ def _load_problem(args):
         return None, instance, extras
     if args.subsample is None and args.subsample_seed is not None:
         raise UsageError("--subsample-seed applies to --subsample only")
+    if args.subsample_seed is not None and args.subsample_seed < 0:
+        raise UsageError(f"--subsample-seed: need a seed >= 0, got {args.subsample_seed}")
     if args.features is not None and args.features < 1:
         raise UsageError(f"--features: need at least 1 feature, got {args.features}")
     path = Path(args.data)
@@ -168,7 +169,8 @@ _FLAGS = {"batch_size": "--batch", "max_iters": "--iters", "seed": "--seed",
           "eval_every": "--eval-every", "term_eps": "--term-eps",
           "omega_exponent": "--rho-omega", "alpha_exponent": "--rho-alpha",
           "alpha_scale": "--alpha-scale", "rho_avg": "--rho-avg", "lr": "--adam-lr",
-          "lam": "--lambda", "fraction": "--subsample", "margin": "--margin"}
+          "lam": "--lambda", "fraction": "--subsample", "margin": "--margin",
+          "m": "--m", "n": "--n"}
 
 
 @contextmanager
@@ -325,10 +327,6 @@ def cmd_compare(args) -> int:
 def cmd_gen(args) -> int:
     out = Path(args.out)
     if args.spec == "separable-svm":
-        if args.m < 1:
-            raise UsageError("--m must be a positive integer")
-        if args.n < 1:
-            raise UsageError("--n must be a positive integer")
         with _flag_errors():
             ds, _ = make_separable_dataset(args.m, args.n, margin=args.margin, seed=args.seed)
     elif not 0 <= args.sigma < np.inf:
@@ -387,7 +385,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     s.add_argument("--adam-lr", type=float, default=1e-3)
 
     o = p.add_argument_group("output")
-    o.add_argument("--outdir", default=os.environ.get("BLOCKSTOCH_OUTDIR", "runs"))
+    o.add_argument("--outdir", default="runs")
     o.add_argument("--trace-timing", action="store_true",
                    help="record real elapsed_ns in the trace CSV "
                         "(default zeroes it so traces are bitwise reproducible)")

@@ -46,18 +46,23 @@ class UnsupportedOperationError(RuntimeError):
     """The problem instance lacks an oracle this operation needs."""
 
 
-def _as_vector(v, name: str) -> Vector:
+def _as_vector(v, name: str, dim: Optional[int] = None) -> Vector:
+    """v as a 1-D float64 array, of length dim when dim is given."""
     out = np.asarray(v, dtype=np.float64)
     if out.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {out.shape}")
+    if dim is not None and out.size != dim:
+        raise ValueError(f"{name} has dim {out.size}, expected {dim}")
     return out
 
 
-def _require_finite(v: Vector, what: str) -> None:
-    """Raise ValueError naming the first entry of v that is NaN or infinite."""
-    bad = np.flatnonzero(~np.isfinite(v))
+def _require_finite(v: Vector, what: str, allow_inf: bool = False) -> None:
+    """Raise ValueError naming the first entry of v that is NaN, or infinite unless allow_inf."""
+    bad = np.flatnonzero(np.isnan(v) if allow_inf else ~np.isfinite(v))
     if bad.size:
-        raise ValueError(f"{what} entry {bad[0]} is not finite ({v[bad[0]]})")
+        i = bad[0]
+        detail = "NaN" if allow_inf else f"not finite ({v[i]})"
+        raise ValueError(f"{what} entry {i} is {detail}")
 
 
 def _dot(a: Vector, b: Vector) -> float:
@@ -89,9 +94,7 @@ class Unconstrained:
             raise ValueError("dim must be a positive integer")
 
     def project(self, p) -> Vector:
-        p = _as_vector(p, "point")
-        if p.size != self.dim:
-            raise ValueError(f"point has dim {p.size}, set has dim {self.dim}")
+        p = _as_vector(p, "point", self.dim)
         return p.copy()
 
     def centroid(self) -> Vector:
@@ -115,8 +118,8 @@ class Box:
         hi = _as_vector(self.upper, "upper")
         if lo.size != hi.size:
             raise ValueError("lower and upper must have equal length")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("box bounds must not be NaN")
+        _require_finite(lo, "lower", allow_inf=True)
+        _require_finite(hi, "upper", allow_inf=True)
         if np.any(lo > hi):
             raise ValueError("box requires lower[i] <= upper[i] for all i")
         empty = np.flatnonzero((lo == np.inf) | (hi == -np.inf))
@@ -130,9 +133,7 @@ class Box:
         return self.lower.size
 
     def project(self, p) -> Vector:
-        p = _as_vector(p, "point")
-        if p.size != self.dim:
-            raise ValueError(f"point has dim {p.size}, set has dim {self.dim}")
+        p = _as_vector(p, "point", self.dim)
         return np.clip(p, self.lower, self.upper)
 
     def centroid(self) -> Vector:
@@ -153,8 +154,7 @@ class L2Ball:
 
     def __post_init__(self):
         c = _as_vector(self.center, "center")
-        if not np.isfinite(c).all():
-            raise ValueError("center must be finite")
+        _require_finite(c, "center")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", c)
@@ -165,9 +165,7 @@ class L2Ball:
         return self.center.size
 
     def project(self, p) -> Vector:
-        p = _as_vector(p, "point")
-        if p.size != self.dim:
-            raise ValueError(f"point has dim {p.size}, set has dim {self.dim}")
+        p = _as_vector(p, "point", self.dim)
         offset = p - self.center
         dist = _norm(offset)
         if dist <= self.radius:
@@ -277,9 +275,7 @@ class ProblemInstance:
 
     def project(self, x) -> Vector:
         """Project a joint vector onto the product of block sets."""
-        x = _as_vector(x, "x")
-        if x.size != self.dim:
-            raise ValueError(f"x has dim {x.size}, problem has dim {self.dim}")
+        x = _as_vector(x, "x", self.dim)
         out = x.copy()
         for sl, feasible_set in self.constrained_blocks:
             out[sl] = feasible_set.project(x[sl])

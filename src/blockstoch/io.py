@@ -168,13 +168,20 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
     return SvmDataset(indptr, indices, values, labels, int(num_features), name)
 
 
+def _read_lines(path) -> list[str]:
+    r"""A UTF-8 text file's lines, a leading BOM skipped.  Text mode reads \r\n and \r
+    as \n, and lines break at \n only: splitlines() would also break at \x0b, \x0c,
+    \x1c-\x1e, \x85, \u2028 and \u2029, which a manifest value or a LIBSVM line may hold."""
+    return Path(path).read_text(encoding="utf-8-sig").split("\n")
+
+
 def load_libsvm(path, num_features: Optional[int] = None, remap_zero_one: bool = False,
                 features_from: str = "num_features") -> SvmDataset:
-    """Read a LIBSVM file from disk; see :func:`parse_libsvm`.  The dataset
-    takes the file's name, and a ParseError names the file."""
+    """Parse a LIBSVM file's lines, read by :func:`_read_lines`; see :func:`parse_libsvm`.
+    The dataset takes the file's name, and a ParseError names the file."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = _read_lines(path)
         return parse_libsvm(lines, num_features, path.name, remap_zero_one, features_from)
     except UnicodeDecodeError as exc:
         raise ParseError(None, f"not valid UTF-8 text ({exc})", path) from None
@@ -288,9 +295,9 @@ def write_manifest(entries: Mapping[str, object], path) -> None:
 
 
 def read_manifest(path) -> dict[str, str]:
+    """The key=value entries of a file, lines read by :func:`_read_lines`."""
     out: dict[str, str] = {}
-    # Not splitlines(): it also breaks at \x0b, \x1c, \u2028, ..., which values may hold.
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+    for line_no, line in enumerate(_read_lines(path), 1):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")

@@ -226,8 +226,10 @@ def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
 
     Returns the dataset and the planted separator.  Deterministic per seed.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    if m < 1:
+        raise ValueError(f"m={m}: must be positive")
+    if n < 1:
+        raise ValueError(f"n={n}: must be positive")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if not 0 < margin < np.inf:

@@ -55,8 +55,6 @@ class Schedule:
     def omega(self, k: int) -> float:
         if k < 1:
             raise ValueError(f"iteration index must be >= 1, got {k}")
-        if k == 1:
-            return 1.0
         return float(k) ** (-self.omega_exponent)
 
     def alpha(self, k: int) -> float:

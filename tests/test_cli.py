@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import blockstoch.io
-from blockstoch.cli import METHODS, main
+from blockstoch.cli import METHODS, build_parser, main
 from blockstoch.io import read_manifest, read_trace, load_libsvm
 from blockstoch import SvmProblem, make_quadratic
 
@@ -51,6 +51,13 @@ class TestGen:
                        "--out", str(tmp_path / "x"))
         assert code == 2
         assert "--m" in capsys.readouterr().err
+
+    def test_zero_features_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli("gen", "separable-svm", "--n", "0", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --n: n=0: must be positive\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("margin", ["inf", "0"])
     def test_bad_margin_is_usage_error(self, tmp_path, capsys, margin):
@@ -109,6 +116,14 @@ class TestGen:
                        "--outdir", str(outdir))
         assert code == 0
         assert (outdir / "proposed.trace.csv").exists()
+
+    def test_problem_file_with_leading_bom(self, tmp_path):
+        spec = tmp_path / "quad.prob"
+        spec.write_bytes("\ufeffkind=quadratic\ndim=4\nsigma=1.0\n".encode("utf-8"))
+        outdir = tmp_path / "runs"
+        assert run_cli("run", "--method", "proposed", "--synthetic", str(spec),
+                       "--iters", "200", "--eval-every", "100", "--outdir", str(outdir)) == 0
+        assert read_manifest(outdir / "proposed.manifest.txt")["blocks"] == "4"
 
 
 # (id, command, problem, flags, start of the error line after "error: "); the
@@ -314,6 +329,19 @@ class TestRun:
         assert code == 2
         assert "--subsample-seed applies to --subsample only" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_negative_subsample_seed_is_usage_error(self, svm_file, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", "adam", "--data", str(svm_file), "--subsample", "0.5",
+                       "--subsample-seed", "-1", "--outdir", str(outdir))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --subsample-seed: need a seed >= 0, got -1\n"
+        assert not outdir.exists()
+
+    def test_outdir_default_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("BLOCKSTOCH_OUTDIR", "elsewhere")
+        args = build_parser().parse_args(["run", "--method", "proposed", "--synthetic", "noncvx"])
+        assert args.outdir == "runs"
 
     def test_elapsed_zeroed_unless_requested(self, svm_file, tmp_path):
         plain = tmp_path / "plain"

@@ -220,6 +220,14 @@ class TestProject:
             with pytest.raises(ValueError, match="center"):
                 L2Ball(center, 1.0)
 
+    def test_bound_and_center_faults_are_located(self):
+        with pytest.raises(ValueError, match="^lower entry 1 is NaN$"):
+            Box([0.0, np.nan], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^upper entry 1 is NaN$"):
+            Box([0.0, 0.0], [1.0, np.nan])
+        with pytest.raises(ValueError, match=r"^center entry 1 is not finite \(inf\)$"):
+            L2Ball([0.0, np.inf], 1.0)
+
 
 # ---------------------------------------------------------------------------
 # minimize_surrogate

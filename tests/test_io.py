@@ -244,6 +244,25 @@ class TestParseLibsvm:
         assert info.value.line_no is None
         assert str(info.value).startswith(f"{path}: not valid UTF-8 text (")
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\u2028"])
+    def test_file_lines_break_at_newline_only(self, tmp_path, char):
+        # str.splitlines would break the first line in two at char.
+        path = tmp_path / "data.libsvm"
+        text = f"+1 1:0.5{char}2:0.3\n-1 1:1\n"
+        path.write_text(text, encoding="utf-8")
+        want = parse_libsvm(text.split("\n"), name=path.name)
+        assert want.m == 2 and dataset_digest(load_libsvm(path)) == dataset_digest(want)
+        path.write_text(f"+1 1:0.5{char}2:0.3\n-1 1:x\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_libsvm(path)
+        assert (info.value.line_no, info.value.detail) == (2, "token '1:x' (column 4): bad value")
+
+    def test_file_with_leading_bom(self, tmp_path):
+        path = tmp_path / "data.libsvm"
+        path.write_bytes("\ufeff+1 1:0.5\n-1 2:1\n".encode("utf-8"))
+        want = parse_libsvm(["+1 1:0.5", "-1 2:1"], name=path.name)
+        assert dataset_digest(load_libsvm(path)) == dataset_digest(want)
+
 
 STRUCTURAL_LINES = [
     "+1 1:2:3 45", "1:2:3 45", "+1 1:1 2", "+1 2 1:1", "1:1 2:2", "+1 5:", "+1 :5",
@@ -463,6 +482,11 @@ class TestManifest:
         # Text mode reads a lone \r as a line break.
         with pytest.raises(ValueError):
             write_manifest(entries, tmp_path / "m.txt")
+
+    def test_read_skips_a_leading_bom(self, tmp_path):
+        path = tmp_path / "p.prob"
+        path.write_bytes("\ufeffkind=quadratic\ndim=4\n".encode("utf-8"))
+        assert read_manifest(path) == {"kind": "quadratic", "dim": "4"}
 
     def test_read_rejects_bad_line(self, tmp_path):
         path = tmp_path / "m.txt"
