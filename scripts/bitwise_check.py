@@ -48,7 +48,11 @@ longer than the 10^4 entries above which OpenBLAS splits a dot product
 over its threads.  Its norms are sums taken by ``blockstoch.core._dot``
 on one thread; in a tree that still sums through BLAS (``np.vdot``,
 ``np.linalg.norm``) they depend on the BLAS thread count, so the entry
-compares equal only between trees that both have ``_dot``.  The
+compares equal only between trees that both have ``_dot``.
+``svm-long-rows`` is an SVM on 24 dense rows of 12000 stored entries,
+drawn without a BLAS call, in 3 blocks at batch 2 for 200 iterations, so
+its row margins are longer than ``blockstoch.core.ROW_BLAS_MAX`` and take
+``_dot`` where a shorter row takes BLAS ddot.  The
 ``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
@@ -79,7 +83,7 @@ from pathlib import Path
 import numpy as np
 from blockstoch import cli
 from blockstoch.io import read_manifest
-from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmProblem, Unconstrained,
+from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmDataset, SvmProblem, Unconstrained,
                         make_quadratic, make_separable_dataset, run, run_adam,
                         run_averaged_sca, run_pegasos)
 from blockstoch.io import load_libsvm, subsample
@@ -106,6 +110,11 @@ per_coordinate = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.
 wide = make_quadratic(20000, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 20000),
                       n_blocks=2, feasible_sets=[Box(-np.ones(10000), np.ones(10000)),
                                                  L2Ball(np.full(10000, 0.01), 30.0)])
+rng = np.random.default_rng(13)  # dense rows of 12000 entries, drawn without a BLAS call
+long_rows = SvmProblem.with_blocks(
+    SvmDataset(np.arange(0, 24 * 12000 + 1, 12000), np.tile(np.arange(12000), 24),
+               rng.standard_normal(24 * 12000), np.where(rng.random(24) < 0.5, -1, 1), 12000),
+    1e-2, 3)
 rng = np.random.default_rng(11)
 lines = []
 for row in range(2600):
@@ -183,6 +192,7 @@ for name, problem, schedule, batch, iters in (
         ("parsed-sparse-per-feature-b4", per_feature, Schedule(), 4, 2000),
         ("quad-refill", refill, Schedule(), 4, 2000),
         ("quad-wide-20k", wide, Schedule(), 1, 300),
+        ("svm-long-rows", long_rows, Schedule(), 2, 200),
         ("cov-per-feature-b8", cov_per_feature, Schedule(0.51, 0.75, 5.0), 8, 2000),
         ("quad-per-coordinate-b8", per_coordinate, Schedule(), 8, 500),
         ("quad-per-coordinate-b64", per_coordinate, Schedule(), 64, 500)):

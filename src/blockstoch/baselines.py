@@ -25,6 +25,7 @@ from .core import (
     TraceRecord,
     Vector,
     _check_finite,
+    _row_dot,
     block_step,
     drive,
 )
@@ -76,7 +77,7 @@ def pegasos_step(w, ex: SparseExample, lam: float, t: int) -> Vector:
         raise ValueError("lam must be positive")
     w = np.asarray(w, dtype=np.float64)
     out = (1.0 - 1.0 / t) * w
-    margin = ex.label * float(ex.values @ w[ex.indices])
+    margin = ex.label * _row_dot(ex.values, w[ex.indices])
     if margin < 1.0:
         out[ex.indices] += (ex.label / (lam * t)) * ex.values
     return out

@@ -171,8 +171,12 @@ def parse_libsvm(lines: Iterable[str], num_features: Optional[int] = None,
 def _read_lines(path) -> list[str]:
     r"""A UTF-8 text file's lines, a leading BOM skipped.  Text mode reads \r\n and \r
     as \n, and lines break at \n only: splitlines() would also break at \x0b, \x0c,
-    \x1c-\x1e, \x85, \u2028 and \u2029, which a manifest value or a LIBSVM line may hold."""
-    return Path(path).read_text(encoding="utf-8-sig").split("\n")
+    \x1c-\x1e, \x85, \u2028 and \u2029, which a manifest value or a LIBSVM line may hold.
+    Text that is not UTF-8 raises a ParseError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"not valid UTF-8 text ({exc})", path) from None
 
 
 def load_libsvm(path, num_features: Optional[int] = None, remap_zero_one: bool = False,
@@ -180,11 +184,9 @@ def load_libsvm(path, num_features: Optional[int] = None, remap_zero_one: bool =
     """Parse a LIBSVM file's lines, read by :func:`_read_lines`; see :func:`parse_libsvm`.
     The dataset takes the file's name, and a ParseError names the file."""
     path = Path(path)
+    lines = _read_lines(path)
     try:
-        lines = _read_lines(path)
         return parse_libsvm(lines, num_features, path.name, remap_zero_one, features_from)
-    except UnicodeDecodeError as exc:
-        raise ParseError(None, f"not valid UTF-8 text ({exc})", path) from None
     except ParseError as exc:
         raise ParseError(exc.line_no, exc.detail, path) from None
 

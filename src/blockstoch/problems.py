@@ -3,6 +3,7 @@ sparse linear SVM used by the benchmark harness."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -20,6 +21,7 @@ from .core import (
     Vector,
     _dot,
     _require_finite,
+    _row_dot,
     _slices,
 )
 
@@ -200,7 +202,7 @@ class SvmProblem:
                 tokens = batch.tolist()
                 for i in tokens:
                     a, b, y = bounds[i], bounds[i + 1], labels[i]
-                    if y * values[a:b].dot(w[indices[a:b]]) <= 1.0:
+                    if y * _row_dot(values[a:b], w[indices[a:b]]) <= 1.0:
                         g[indices[a:b]] -= (y / len(tokens)) * values[a:b]
                 g.flags.writeable = False
                 memo = (batch, x, g)
@@ -236,7 +238,7 @@ def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
         raise ValueError(f"margin={margin}: must be positive and finite")
     rng = np.random.default_rng(seed)
     w_star = rng.standard_normal(n)
-    w_star /= np.linalg.norm(w_star)
+    w_star /= math.sqrt(_row_dot(w_star, w_star))
     features = rng.standard_normal((m, n))
     scores = features @ w_star
     labels = np.where(scores >= 0, 1, -1)
@@ -276,8 +278,9 @@ class QuadraticProblem:
             raise ValueError("target and curvature must be 1-D with equal shape")
         _require_finite(mu, "target")
         _require_finite(c, "curvature")
-        if np.any(c <= 0):
-            raise ValueError("curvature must be strictly positive")
+        bad = np.flatnonzero(c <= 0)
+        if bad.size:
+            raise ValueError(f"curvature entry {bad[0]} is not positive ({c[bad[0]]})")
         if not 0 <= self.noise_stddev < np.inf:
             raise ValueError(f"noise_stddev={self.noise_stddev}: must be finite and >= 0")
         if sum(b.dim for b in self.blocks) != mu.size:

@@ -229,6 +229,16 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {data}: not valid UTF-8 text (")
 
+    def test_non_utf8_problem_file_names_the_file(self, tmp_path, capsys):
+        spec = tmp_path / "bad.prob"
+        spec.write_bytes(b"kind=quadratic\ndim=4\xff\nsigma=1.0\n")
+        code = run_cli("run", "--method", "proposed", "--synthetic", str(spec),
+                       "--outdir", str(tmp_path / "r"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --synthetic: {spec}: not valid UTF-8 text (")
+        assert not (tmp_path / "r").exists()
+
     def test_requires_exactly_one_problem(self, tmp_path, capsys):
         assert run_cli("run", "--method", "adam",
                        "--outdir", str(tmp_path / "r")) == 2

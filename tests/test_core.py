@@ -18,6 +18,7 @@ from blockstoch import (
     ProblemInstance,
     RunConfig,
     Schedule,
+    SvmDataset,
     SvmProblem,
     Unconstrained,
     UnsupportedOperationError,
@@ -34,6 +35,7 @@ from blockstoch import (
 )
 from blockstoch import core
 from blockstoch.core import _check_finite
+from blockstoch.io import write_libsvm
 
 import oracles
 
@@ -227,6 +229,11 @@ class TestProject:
             Box([0.0, 0.0], [1.0, np.nan])
         with pytest.raises(ValueError, match=r"^center entry 1 is not finite \(inf\)$"):
             L2Ball([0.0, np.inf], 1.0)
+
+    def test_crossed_bounds_are_located(self):
+        with pytest.raises(ValueError) as info:
+            Box([0, 2], [1, 1])
+        assert str(info.value) == "lower entry 1 (2.0) exceeds upper entry 1 (1.0)"
 
 
 # ---------------------------------------------------------------------------
@@ -875,31 +882,76 @@ def _numpy_blas_name() -> str:
 @pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
                     reason="OPENBLAS_NUM_THREADS acts only on an OpenBLAS numpy")
 class TestBlasThreadCount:
-    """Every sum over a problem-sized vector runs on one thread in numpy's
-    own loop, so no run's bits depend on the BLAS thread count."""
+    """No run's bits depend on the BLAS thread count.  The products in
+    ``src/`` and how each is summed:
+
+    - ``core._dot`` (numpy's own one-thread loop) for every problem-sized
+      vector: objectives, norms, tracker and step sizes;
+    - ``core._row_dot`` for the SVM oracle's row margin, Pegasos's margin and
+      the planted separator's norm: BLAS ddot up to ``core.ROW_BLAS_MAX``
+      entries, where OpenBLAS keeps it on one thread, ``_dot`` beyond;
+    - scipy's sequential CSR products for full-data evaluation;
+    - the one exception: ``features @ w_star`` (dgemv) in
+      ``make_separable_dataset``, so only the separator of a wide generated
+      dataset is compared here, not its rows.
+
+    The child runs a quadratic and an SVM with rows longer than
+    ``ROW_BLAS_MAX``, the SVM under all four methods and ``blockstoch
+    compare``; both are wider than the 10^4 entries where OpenBLAS splits a
+    dot product over its threads."""
 
     CHILD = r'''
+import contextlib, hashlib, io, sys
+from pathlib import Path
 import numpy as np
-from blockstoch import (Box, L2Ball, RunConfig, make_quadratic, run, run_adam,
-                        run_averaged_sca)
+from blockstoch import (Box, L2Ball, RunConfig, SvmProblem, make_quadratic,
+                        make_separable_dataset, run, run_adam, run_averaged_sca, run_pegasos)
+from blockstoch.cli import METHODS, main
+from blockstoch.io import load_libsvm
+data, outdir = sys.argv[1:]
+
+def show(x, trace):
+    rows = [(r.k, r.objective, r.step_norm, r.tracker_error) for r in trace]
+    print(x.tobytes().hex(), repr(rows))
+
 half = 15000  # d = 30000, above the 10^4 entries where OpenBLAS splits a dot
 inst = make_quadratic(2 * half, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 2 * half),
                       n_blocks=2, feasible_sets=[Box(-np.ones(half), np.ones(half)),
                                                  L2Ball(np.full(half, 0.01), 30.0)]).instance()
 config = RunConfig(max_iters=20, eval_every=5, seed=3)
 for x, trace in (run(inst, config), run_adam(inst, config), run_averaged_sca(inst, config, 0.8)):
-    rows = [(r.k, r.objective, r.step_norm, r.tracker_error) for r in trace]
-    print(x.tobytes().hex(), repr(rows))
+    show(x, trace)
+svm = SvmProblem.with_blocks(load_libsvm(data), 1e-2, 3)
+inst = svm.instance()
+config = RunConfig(batch_size=2, max_iters=40, eval_every=20, seed=3)
+for x, trace in (run(inst, config), run_pegasos(svm, config), run_adam(inst, config),
+                 run_averaged_sca(inst, config, 0.8)):
+    show(x, trace)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["compare", "--data", data, "--blocks", "3", "--batch", "2", "--iters", "40",
+                 "--eval-every", "20", "--seed", "3", "--outdir", outdir])
+assert code == 0
+for method in METHODS:
+    print(repr(Path(outdir, f"{method}.trace.csv").read_text()))
+print(hashlib.sha256(make_separable_dataset(50, 30000, seed=2)[1].tobytes()).hexdigest())
 '''
 
-    def test_runs_are_bitwise_equal_under_one_and_two_blas_threads(self):
+    def test_runs_are_bitwise_equal_under_one_and_two_blas_threads(self, tmp_path):
+        # Rows of 10 500 stored entries, drawn and written without a BLAS call.
+        m, n = 10, core.ROW_BLAS_MAX + 500
+        rng = np.random.default_rng(5)
+        data = tmp_path / "long-rows.libsvm"
+        write_libsvm(SvmDataset(np.arange(0, m * n + 1, n), np.tile(np.arange(n), m),
+                                rng.standard_normal(m * n), np.where(rng.random(m) < 0.5, -1, 1),
+                                n), data)
         src = os.path.dirname(os.path.dirname(core.__file__))
-        outputs = [subprocess.run([sys.executable, "-c", self.CHILD], capture_output=True,
-                                  text=True, check=True,
+        outputs = [subprocess.run([sys.executable, "-c", self.CHILD, str(data),
+                                   str(tmp_path / f"compare-{threads}")],
+                                  capture_output=True, text=True, check=True,
                                   env={**os.environ, "PYTHONPATH": src,
                                        "OPENBLAS_NUM_THREADS": threads}).stdout
                    for threads in ("1", "2")]
-        assert len(outputs[0].splitlines()) == 3
+        assert len(outputs[0].splitlines()) == 12
         assert outputs[0] == outputs[1]
 
 

@@ -420,6 +420,10 @@ class TestQuadratic:
                               feasible_sets=[Box([-1, -1], [1, 1])])
         np.testing.assert_array_equal(quad.optimum(), [1.0, -1.0])
 
+    def test_non_positive_curvature_is_located(self):
+        with pytest.raises(ValueError, match=r"^curvature entry 1 is not positive \(-1\.0\)$"):
+            make_quadratic(3, curvature=[1, -1, 1])
+
     def test_ball_needs_isotropic_curvature(self):
         quad = make_quadratic(2, target=[2.0, 0.0], curvature=[1.0, 3.0],
                               feasible_sets=[L2Ball([0.0, 0.0], 1.0)])
