@@ -65,6 +65,9 @@ adam at 1 and avg-sca at 2), and compare each method's trace and manifest.
 The ``cli-gen`` entries hold the bytes that ``blockstoch gen`` writes for
 each of its three specs (``separable-svm``, ``quadratic``,
 ``nonconvex-toy``) with fixed flags and ``--seed 4``.
+``io-write/parsed-sparse`` holds the bytes that ``write_libsvm`` writes for
+the subsampled parsed-sparse corpus, whose empty rows, dropped ``k:0``
+tokens and rows of varying length the dense ``cli-gen`` rows never have.
 """
 
 import json
@@ -86,7 +89,7 @@ from blockstoch.io import read_manifest
 from blockstoch import (Box, L2Ball, RunConfig, Schedule, SvmDataset, SvmProblem, Unconstrained,
                         make_quadratic, make_separable_dataset, run, run_adam,
                         run_averaged_sca, run_pegasos)
-from blockstoch.io import load_libsvm, subsample
+from blockstoch.io import load_libsvm, subsample, write_libsvm
 import covgen
 
 def digest(x, trace):
@@ -130,6 +133,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "corpus.libsvm"
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
     corpus = subsample(load_libsvm(path), 0.5, 4)
+    write_libsvm(corpus, Path(tmp) / "written.libsvm")
+    out["io-write/parsed-sparse"] = (Path(tmp) / "written.libsvm").read_bytes().decode("utf-8")
     parsed = SvmProblem.with_blocks(corpus, 1e-2, 2)
     cuts = (0, 1, 3, 8, 9, 17, 26, corpus.num_features)
     parsed7 = SvmProblem(corpus, 1e-2, tuple(zip(cuts[:-1], cuts[1:])))

@@ -22,7 +22,6 @@ from .core import (
 from .schedules import Schedule, ScheduleError
 from .problems import (
     QuadraticProblem,
-    SparseExample,
     SvmDataset,
     SvmProblem,
     even_partition,

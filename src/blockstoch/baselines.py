@@ -29,7 +29,7 @@ from .core import (
     block_step,
     drive,
 )
-from .problems import SparseExample, SvmProblem
+from .problems import SvmProblem
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,12 @@ def check_rho_avg(rho_avg: float, schedule) -> None:
 # Single steps
 # ---------------------------------------------------------------------------
 
-def pegasos_step(w, ex: SparseExample, lam: float, t: int) -> Vector:
+def pegasos_step(w, ex: tuple, lam: float, t: int) -> Vector:
     """One Pegasos update (Shalev-Shwartz et al., 2011) with step size
     eta_t = 1/(lam t).
 
+    ``ex`` is one SVM row as an ``(indices, values, label)`` tuple: the row's
+    stored feature indices and values and its label y, -1 or +1.
     w' = (1 - 1/t) w + eta_t y x when the example violates the margin
     (strict y<x,w> < 1, this method's convention), else the pure shrink.
     At t = 1 the shrink factor is exactly zero, so w' is independent of w.
@@ -75,11 +77,11 @@ def pegasos_step(w, ex: SparseExample, lam: float, t: int) -> Vector:
         raise ValueError("t must be >= 1")
     if not lam > 0:
         raise ValueError("lam must be positive")
+    indices, values, label = ex
     w = np.asarray(w, dtype=np.float64)
     out = (1.0 - 1.0 / t) * w
-    margin = ex.label * _row_dot(ex.values, w[ex.indices])
-    if margin < 1.0:
-        out[ex.indices] += (ex.label / (lam * t)) * ex.values
+    if label * _row_dot(values, w[indices]) < 1.0:
+        out[indices] += (label / (lam * t)) * values
     return out
 
 
@@ -130,11 +132,15 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
     """
     inst = problem.instance() if inst is None else inst
     w = inst.default_start()
-    example, slices = problem.dataset.example, inst.block_slices
+    ds, slices = problem.dataset, inst.block_slices
+    indices, values = ds.indices, ds.values
+    bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w
-        w = pegasos_step(w, example(int(batch[0])), problem.lam, t)
+        i = int(batch[0])
+        a, b = bounds[i], bounds[i + 1]
+        w = pegasos_step(w, (indices[a:b], values[a:b], labels[i]), problem.lam, t)
         _check_finite(t, slices, None, w)
         return w
 

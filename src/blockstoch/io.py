@@ -193,9 +193,9 @@ def load_libsvm(path, num_features: Optional[int] = None, remap_zero_one: bool =
 
 def libsvm_lines(ds: SvmDataset) -> Iterator[str]:
     """Serialize a dataset back to LIBSVM lines (1-based indices)."""
-    for i in range(ds.m):
-        indices, values, label = ds.example(i)
-        pairs = zip(indices.tolist(), values.tolist())
+    bounds = ds.indptr.tolist()
+    for label, a, b in zip(ds.labels.tolist(), bounds, bounds[1:]):
+        pairs = zip(ds.indices[a:b].tolist(), ds.values[a:b].tolist())
         yield " ".join([f"{label:+.0f}"] + [f"{j + 1}:{v!r}" for j, v in pairs])
 
 

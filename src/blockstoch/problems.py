@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -37,14 +37,6 @@ def even_partition(n: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # Sparse SVM data
 # ---------------------------------------------------------------------------
-
-class SparseExample(NamedTuple):
-    """One row of an :class:`SvmDataset`: views into its arrays, and its label."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: float
-
 
 @dataclass(eq=False)
 class SvmDataset:
@@ -94,10 +86,6 @@ class SvmDataset:
     @property
     def m(self) -> int:
         return self.labels.size
-
-    def example(self, i: int) -> SparseExample:
-        a, b = self.indptr[i:i + 2].tolist()
-        return SparseExample(self.indices[a:b], self.values[a:b], self.labels.item(i))
 
     @cached_property
     def matrix(self) -> sparse.csr_matrix:

@@ -85,6 +85,15 @@ def naive_svm_objective(w, dataset, lam):
     return 0.5 * lam * reg + total / dataset.m
 
 
+def svm_row(dataset, i):
+    """Row i of the dataset as ``(indices, values, label)``, gathered entry by
+    entry between ``indptr[i]`` and ``indptr[i + 1]`` (the library's readers
+    slice the same arrays)."""
+    positions = list(range(dataset.indptr[i], dataset.indptr[i + 1]))
+    return (dataset.indices[positions], dataset.values[positions],
+            float(dataset.labels[i]))
+
+
 def searched_svm_batch_grad(problem, batch, x, l):
     """Block l of the SVM batch-mean gradient, computed for that block alone:
     per token the full-row margin, then a ``searchsorted`` of the row's
@@ -105,19 +114,21 @@ def searched_svm_batch_grad(problem, batch, x, l):
 
 
 def svm_sample_grad(w, ex, lam):
-    """Single-sample (sub)gradient of the regularized hinge cost.
+    """Single-sample (sub)gradient of the regularized hinge cost at the
+    ``(indices, values, label)`` row ``ex``.
 
     Returns lam*w when the example clears the margin strictly
     (y <x, w> > 1), else lam*w - y*x.  The boundary y <x, w> = 1 takes the
     active-side subgradient (non-strict <=).
     """
+    indices, values, label = ex
     w = np.asarray(w, dtype=np.float64)
-    if ex.indices.size and ex.indices[-1] >= w.size:
+    if indices.size and indices[-1] >= w.size:
         raise ValueError("example dimension exceeds weight vector")
     g = lam * w
-    margin = ex.label * float(ex.values @ w[ex.indices])
+    margin = label * float(values @ w[indices])
     if margin <= 1.0:
-        g[ex.indices] -= ex.label * ex.values
+        g[indices] -= label * values
     return g
 
 

@@ -143,6 +143,17 @@ class TestProject:
         box = Box([-1.0, -1.0], [1.0, 1.0])
         np.testing.assert_array_equal(project(box, [3.0, -2.0]), [1.0, -1.0])
 
+    def test_box_nan_and_signed_zeros(self):
+        # Pins today's np.clip results, which np.minimum(np.maximum(p, lo), hi)
+        # must reproduce before it may replace np.clip.
+        box = Box([0.0, -1.0, -np.inf, 0.0], [1.0, 0.0, np.inf, 0.0])
+        assert np.isnan(box.project(np.full(4, np.nan))).all()
+        for point, signs in (([-0.0, 0.0, -0.0, -0.0], [False, False, True, False]),
+                             ([0.0, -0.0, 0.0, 0.0], [False] * 4)):
+            got = box.project(np.array(point))
+            np.testing.assert_array_equal(got, np.zeros(4))
+            np.testing.assert_array_equal(np.signbit(got), signs)
+
     def test_ball_radial_scaling(self):
         ball = L2Ball([0.0, 0.0], 1.0)
         np.testing.assert_allclose(project(ball, [3.0, 4.0]), [0.6, 0.8])

@@ -62,15 +62,15 @@ class TestParseLibsvm:
     def test_basic_line_shifts_to_zero_based(self):
         ds = parse_libsvm(["+1 3:0.5 7:1.0"])
         assert ds.m == 1 and ds.num_features == 7
-        ex = ds.example(0)
-        assert ex.label == 1
-        np.testing.assert_array_equal(ex.indices, [2, 6])
-        np.testing.assert_array_equal(ex.values, [0.5, 1.0])
+        indices, values, label = oracles.svm_row(ds, 0)
+        assert label == 1
+        np.testing.assert_array_equal(indices, [2, 6])
+        np.testing.assert_array_equal(values, [0.5, 1.0])
 
     def test_featureless_example(self):
         ds = parse_libsvm(["+1 2:1.0", "-1"])
         assert ds.m == 2
-        assert ds.example(1).indices.size == 0
+        assert oracles.svm_row(ds, 1)[0].size == 0
         only = parse_libsvm(["-1"], num_features=3)
         assert only.num_features == 3
 
@@ -117,8 +117,8 @@ class TestParseLibsvm:
         assert f"{token!r} (column {column}): value is not finite" in str(info.value)
 
     def test_label_rules(self):
-        assert parse_libsvm(["1 1:1"]).example(0).label == 1
-        assert parse_libsvm(["-1.0 1:1"]).example(0).label == -1
+        assert oracles.svm_row(parse_libsvm(["1 1:1"]), 0)[2] == 1
+        assert oracles.svm_row(parse_libsvm(["-1.0 1:1"]), 0)[2] == -1
         with pytest.raises(ParseError, match="remap"):
             parse_libsvm(["0 1:1"])
         remapped = parse_libsvm(["0 1:1", "1 2:1"], remap_zero_one=True)
@@ -140,7 +140,7 @@ class TestParseLibsvm:
 
     def test_explicit_zeros_dropped(self):
         ds = parse_libsvm(["1 2:0.0 3:1.0"])
-        np.testing.assert_array_equal(ds.example(0).indices, [2])
+        np.testing.assert_array_equal(oracles.svm_row(ds, 0)[0], [2])
 
     def test_features_override(self):
         ds = parse_libsvm(["1 2:1.0"], num_features=10)
@@ -384,9 +384,9 @@ class TestSubsample:
         ds = parse_libsvm(["+1 1:1 3:2", "-1", "+1 2:5", "-1 1:-1 2:1 3:4", "+1 3:7", "-1"])
         sub = subsample(ds, 0.5, seed=3)
         rows = np.sort(np.random.default_rng(3).choice(6, size=3, replace=False))
-        assert sub.m == 3 and sub.nnz == sum(ds.example(int(i)).indices.size for i in rows)
+        assert sub.m == 3 and sub.nnz == sum(oracles.svm_row(ds, i)[0].size for i in rows)
         for r, i in enumerate(rows):
-            for got, want in zip(sub.example(r), ds.example(int(i))):
+            for got, want in zip(oracles.svm_row(sub, r), oracles.svm_row(ds, i)):
                 np.testing.assert_array_equal(got, want)
 
     def test_empty_result_is_error(self):

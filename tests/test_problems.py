@@ -11,7 +11,6 @@ from blockstoch import (
     Box,
     L2Ball,
     RunConfig,
-    SparseExample,
     SvmDataset,
     SvmProblem,
     Unconstrained,
@@ -45,9 +44,10 @@ def pegasos_from_poisoned_start():
 
 
 def dense_example(values, label):
+    """The non-zero entries of a dense row as an ``(indices, values, label)`` row."""
     values = np.asarray(values, dtype=np.float64)
     keep = values != 0.0
-    return SparseExample(np.flatnonzero(keep), values[keep], label)
+    return np.flatnonzero(keep), values[keep], label
 
 
 def dense_dataset(rows, labels, name=""):
@@ -108,10 +108,10 @@ class TestContainers:
 
     def test_rows_restart_their_index_order(self):
         ds = SvmDataset([0, 2, 2, 3], [0, 3, 1], [1.0, -2.0, 0.5], [1, -1, 1], 4)
-        assert ds.example(1).indices.size == 0
-        ex = ds.example(2)
-        np.testing.assert_array_equal(ex.indices, [1])
-        assert ex.label == 1.0 and ex.values[0] == 0.5
+        assert oracles.svm_row(ds, 1)[0].size == 0
+        indices, values, label = oracles.svm_row(ds, 2)
+        np.testing.assert_array_equal(indices, [1])
+        assert label == 1.0 and values[0] == 0.5
 
     def test_matrix_and_sparsity(self):
         ds = dense_dataset([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]], [1, -1])
@@ -201,7 +201,7 @@ class TestSvmObjective:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, m=25, n=8)
         w = rng.standard_normal(8)
-        mean = np.mean([svm_sample_grad(w, ds.example(i), 0.05) for i in range(ds.m)], axis=0)
+        mean = np.mean([svm_sample_grad(w, oracles.svm_row(ds, i), 0.05) for i in range(ds.m)], axis=0)
         np.testing.assert_allclose(svm_true_gradient(w, ds, 0.05), mean, rtol=1e-12, atol=1e-14)
 
 
@@ -269,7 +269,7 @@ class TestSvmProblem:
         w = rng.standard_normal(11)
         for token in (0, 7, 29):
             joint = np.concatenate([inst.batch_grad(np.array([token]), w, l) for l in range(3)])
-            direct = svm_sample_grad(w, ds.example(token), 0.01)
+            direct = svm_sample_grad(w, oracles.svm_row(ds, token), 0.01)
             np.testing.assert_array_equal(joint, direct)
 
     def test_batch_gradient_is_mean_of_singles(self):
