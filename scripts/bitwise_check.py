@@ -52,7 +52,10 @@ compares equal only between trees that both have ``_dot``.
 ``svm-long-rows`` is an SVM on 24 dense rows of 12000 stored entries,
 drawn without a BLAS call, in 3 blocks at batch 2 for 200 iterations, so
 its row margins are longer than ``blockstoch.core.ROW_BLAS_MAX`` and take
-``_dot`` where a shorter row takes BLAS ddot.  The
+``_dot`` where a shorter row takes BLAS ddot.  ``svm-long-rows-b1`` runs
+the same at batch 1, the batch size at which mini-batch Pegasos takes
+exactly ``pegasos_step``'s single-row step, so Pegasos's long-row margins
+are compared there too.  The
 ``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
@@ -60,7 +63,7 @@ summary table; manifests leave out ``command`` and the two timings, the
 summary its ``cpu_seconds`` column.  Every other entry runs to its
 iteration count; the ``cli-term-eps`` entries run the same corpus through
 ``blockstoch compare --lambda 0.1 --term-eps 0.35``, whose stop rule ends
-each method before ``--iters`` (proposed at iteration 90, pegasos at 1602,
+each method before ``--iters`` (proposed at iteration 90, pegasos at 657,
 adam at 1 and avg-sca at 2), and compare each method's trace and manifest.
 The ``cli-gen`` entries hold the bytes that ``blockstoch gen`` writes for
 each of its three specs (``separable-svm``, ``quadratic``,
@@ -198,6 +201,7 @@ for name, problem, schedule, batch, iters in (
         ("quad-refill", refill, Schedule(), 4, 2000),
         ("quad-wide-20k", wide, Schedule(), 1, 300),
         ("svm-long-rows", long_rows, Schedule(), 2, 200),
+        ("svm-long-rows-b1", long_rows, Schedule(), 1, 200),
         ("cov-per-feature-b8", cov_per_feature, Schedule(0.51, 0.75, 5.0), 8, 2000),
         ("quad-per-coordinate-b8", per_coordinate, Schedule(), 8, 500),
         ("quad-per-coordinate-b64", per_coordinate, Schedule(), 64, 500)):

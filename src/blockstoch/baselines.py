@@ -1,15 +1,15 @@
 """Reference optimizers for the benchmark comparisons.
 
-Three baselines: Pegasos-style single-sample SGD for the SVM, bias-corrected
-Adam, and an iterate-averaged variant of the block solver (same inner
-proximal update, but the reported point is a vanishing-weight running
-average -- a reference implementation of the averaging behavior, not of any
-specific published method in full generality).
+Three baselines: mini-batch Pegasos for the SVM, bias-corrected Adam, and
+an iterate-averaged variant of the block solver (same inner proximal
+update, but the reported point is a vanishing-weight running average -- a
+reference implementation of the averaging behavior, not of any specific
+published method in full generality).
 
 Each run is a start state plus a step for :func:`blockstoch.core.drive`,
 which draws every mini-batch, so for a fixed seed and batch size every
-method here consumes the exact sample stream of :func:`blockstoch.core.run`
-and honours the same termination rule.
+method here consumes the exact sample stream of :func:`blockstoch.core.run`,
+steps on every sample it draws, and honours the same termination rule.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     block_step,
     drive,
 )
-from .problems import SvmProblem
+from .problems import SvmProblem, hinge_pass
 
 
 @dataclass(frozen=True)
@@ -121,26 +121,24 @@ def averaging_weight(k: int, rho_avg: float) -> float:
 
 def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[list] = None,
                 inst: Optional[ProblemInstance] = None) -> tuple[Vector, list[TraceRecord]]:
-    """Pegasos on the SVM problem; outputs the LAST weight vector.
+    """Mini-batch Pegasos (Shalev-Shwartz et al., 2011) on the SVM problem;
+    outputs the LAST weight vector.
 
-    The full mini-batch is drawn every iteration to keep the sample stream
-    aligned with the other methods, but only the first token is consumed
-    (mini-batch Pegasos is out of scope).  The original method's optional
-    ball projection is omitted.  A non-finite iterate raises
-    NumericalFailureError, as in every method.  ``inst`` is
-    ``problem.instance()`` when the caller has already built it.
-    """
+    Each step uses the whole batch of B rows, w' = (1 - 1/t) w + (1/(lam t B))
+    sum y x over the rows with y<x,w> < 1, through the oracle's row loop
+    :func:`blockstoch.problems.hinge_pass`; at B = 1 it is :func:`pegasos_step`
+    bit for bit.  The original method's optional ball projection is omitted.
+    A non-finite iterate raises NumericalFailureError, as in every method.
+    ``inst`` is ``problem.instance()`` when the caller has already built it."""
     inst = problem.instance() if inst is None else inst
     w = inst.default_start()
-    ds, slices = problem.dataset, inst.block_slices
-    indices, values = ds.indices, ds.values
-    bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
+    lam, slices = problem.lam, inst.block_slices
+    hinge = hinge_pass(problem.dataset)
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w
-        i = int(batch[0])
-        a, b = bounds[i], bounds[i + 1]
-        w = pegasos_step(w, (indices[a:b], values[a:b], labels[i]), problem.lam, t)
+        w_prev, w = w, (1.0 - 1.0 / t) * w
+        hinge(w, w_prev, batch.tolist(), 1.0 / (lam * t * len(batch)), strict=True)
         _check_finite(t, slices, None, w)
         return w
 

@@ -112,6 +112,24 @@ class SvmDataset:
         return 100.0 * self.nnz / (self.m * self.num_features)
 
 
+def hinge_pass(ds: SvmDataset):
+    """The SVM's one row loop, ``(out, w, tokens, scale, strict=False)``: each row i
+    in ``tokens`` whose margin y_i <x_i, w> is at most 1 (below 1 if ``strict``)
+    adds (y_i * scale) * x_i into ``out``, in order; margins read ``w``, never ``out``."""
+    indices, values = ds.indices, ds.values
+    # memoryview indexing yields Python scalars, several times faster than numpy's.
+    bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
+
+    def row_loop(out, w, tokens, scale, strict=False):
+        limit = math.nextafter(1.0, 0.0) if strict else 1.0  # m < 1 iff m <= nextafter(1, 0)
+        for i in tokens:
+            a, b, y = bounds[i], bounds[i + 1], labels[i]
+            if y * _row_dot(values[a:b], w[indices[a:b]]) <= limit:
+                out[indices[a:b]] += (y * scale) * values[a:b]
+
+    return row_loop
+
+
 def svm_objective(w, ds: SvmDataset, lam: float) -> float:
     """Regularized mean hinge loss (lam/2)||w||^2 + mean_i max(0, 1 - y_i <x_i, w>)."""
     w = np.asarray(w, dtype=np.float64)
@@ -175,9 +193,7 @@ class SvmProblem:
         lam = self.lam
         ranges = self.block_ranges
         m = ds.m
-        indices, values = ds.indices, ds.values
-        # memoryview indexing yields Python scalars, several times faster than numpy's.
-        bounds, labels = memoryview(ds.indptr), memoryview(ds.labels)
+        hinge = hinge_pass(ds)
         memo = (None, None, None)  # (batch, x, joint gradient)
 
         def batch_grad(batch, x, l):
@@ -187,11 +203,7 @@ class SvmProblem:
             if memo_batch is not batch or memo_x is not x:
                 w = np.asarray(x, dtype=np.float64)
                 g = lam * w
-                tokens = batch.tolist()
-                for i in tokens:
-                    a, b, y = bounds[i], bounds[i + 1], labels[i]
-                    if y * _row_dot(values[a:b], w[indices[a:b]]) <= 1.0:
-                        g[indices[a:b]] -= (y / len(tokens)) * values[a:b]
+                hinge(g, w, batch.tolist(), -1.0 / len(batch))
                 g.flags.writeable = False
                 memo = (batch, x, g)
             return g[start:stop]

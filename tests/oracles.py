@@ -132,6 +132,24 @@ def svm_sample_grad(w, ex, lam):
     return g
 
 
+def naive_pegasos_step(w, dataset, tokens, lam, t):
+    """One mini-batch Pegasos step (Shalev-Shwartz et al., 2011), densely:
+    each token's row is spread into a dense vector entry by entry, its margin
+    y <x, w> is a Python sum at the old iterate, the rows whose margin is
+    strictly below 1 are summed as y x, and the result is
+    (1 - 1/t) w + (1/(lam t B)) times that sum."""
+    w = np.asarray(w, dtype=np.float64)
+    total = np.zeros(w.size)
+    for i in tokens:
+        x = np.zeros(w.size)
+        for p in range(dataset.indptr[i], dataset.indptr[i + 1]):
+            x[dataset.indices[p]] = dataset.values[p]
+        y = float(dataset.labels[i])
+        if y * sum(float(a) * float(b) for a, b in zip(x, w)) < 1.0:
+            total += y * x
+    return (1.0 - 1.0 / t) * w + total / (lam * t * len(tokens))
+
+
 def tracker_by_recursion(omegas, grads):
     """Reference tracker: fold the recursion step by step."""
     h = np.zeros_like(grads[0])

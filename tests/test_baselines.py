@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from blockstoch import (
     AdamParams,
@@ -14,6 +15,7 @@ from blockstoch import (
     ProblemInstance,
     RunConfig,
     Schedule,
+    SvmDataset,
     SvmProblem,
     Unconstrained,
     adam_step,
@@ -28,9 +30,22 @@ from blockstoch import (
     run_pegasos,
 )
 from blockstoch.io import parse_libsvm, subsample
+from blockstoch.problems import hinge_pass
 
-from oracles import svm_sample_grad
+from oracles import naive_pegasos_step, svm_sample_grad
 from test_problems import dense_example
+
+
+def sparse_svm():
+    """A 40-row SVM over 10 features with about 3 stored entries per row
+    and random labels, so a batch mixes rows on both sides of the margin;
+    lambda 0.05 in 3 blocks."""
+    rng = np.random.default_rng(21)
+    dense = rng.standard_normal((40, 10)) * (rng.random((40, 10)) < 0.3)
+    rows = sparse.csr_matrix(dense)
+    ds = SvmDataset(rows.indptr, rows.indices, rows.data,
+                    np.where(rng.random(40) < 0.5, -1, 1), 10)
+    return ds, SvmProblem.with_blocks(ds, 0.05, 3)
 
 
 def records_without_time(trace):
@@ -76,6 +91,16 @@ class TestPegasosStep:
         w = np.array([1.0, 0.0])
         np.testing.assert_allclose(pegasos_step(w, ex, 1.0, t=2), w / 2.0)
         np.testing.assert_array_equal(svm_sample_grad(w, ex, 1.0), [0.0, 0.0])
+        # The same per row of a batch of 2: row 0 (e1, +1) sits at margin 1 and
+        # row 1 (e2, -1) at margin 0.  Mini-batch Pegasos's step (run_pegasos's
+        # hinge pass) takes row 1 only; the oracle's batch gradient takes both.
+        ds = SvmDataset([0, 1, 2], [0, 1], [1.0, 1.0], [1.0, -1.0], 2)
+        step = w / 2.0
+        hinge_pass(ds)(step, w, [0, 1], 1.0 / (1.0 * 2 * 2), strict=True)
+        np.testing.assert_array_equal(step, [0.5, -0.25])
+        np.testing.assert_array_equal(step, naive_pegasos_step(w, ds, [0, 1], 1.0, 2))
+        grad = SvmProblem(ds, 1.0).instance().batch_grad(np.array([0, 1]), w, 0)
+        np.testing.assert_array_equal(grad, [0.5, 0.5])
 
     def test_validation(self):
         ex = dense_example([1.0], 1)
@@ -212,6 +237,28 @@ class TestFullRuns:
         w, trace = run_pegasos(problem, config)
         assert trace[-1].objective < trace[0].objective
         assert trace[-1].tracker_error is None
+
+    def test_pegasos_at_batch_1_is_pegasos_step(self):
+        ds, problem = sparse_svm()
+        log = []
+        w, _ = run_pegasos(problem, RunConfig(max_iters=100, eval_every=100, seed=4),
+                           sample_log=log)
+        ref = np.ones(ds.num_features)
+        for t, batch in enumerate(log, start=1):
+            i = int(batch[0])
+            a, b = ds.indptr[i], ds.indptr[i + 1]
+            ref = pegasos_step(ref, (ds.indices[a:b], ds.values[a:b], ds.labels[i]), 0.05, t)
+        np.testing.assert_array_equal(w, ref)
+
+    def test_pegasos_steps_on_the_whole_batch(self):
+        ds, problem = sparse_svm()
+        log = []
+        w, _ = run_pegasos(problem, RunConfig(max_iters=100, eval_every=100, seed=4,
+                                              batch_size=4), sample_log=log)
+        ref = np.ones(ds.num_features)
+        for t, batch in enumerate(log, start=1):
+            ref = naive_pegasos_step(ref, ds, batch.tolist(), 0.05, t)
+        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_pegasos_rejects_non_finite_iterate(self):
         # 1 / (lam t) overflows to inf, as in every other method's failure.

@@ -265,14 +265,14 @@ class TestRun:
         assert not outdir.exists()
 
     @pytest.mark.parametrize("batch", ["1", "8"])
-    def test_pegasos_records_one_sample_per_iteration(self, svm_file, tmp_path, batch):
-        # Pegasos draws the full batch but steps on its first sample only.
+    def test_pegasos_records_its_batch_per_iteration(self, svm_file, tmp_path, batch):
+        # Pegasos steps on the whole batch it draws, as every method does.
         outdir = tmp_path / "out"
         assert run_cli("run", "--method", "pegasos", "--data", str(svm_file), "--batch", batch,
                        "--iters", "20", "--eval-every", "10", "--outdir", str(outdir)) == 0
         manifest = read_manifest(outdir / "pegasos.manifest.txt")
         assert manifest["batch"] == batch
-        assert manifest["samples_per_iteration"] == "1"
+        assert manifest["samples_per_iteration"] == batch
 
     def test_trace_reproducible_for_fixed_seed(self, svm_file, tmp_path):
         digests = []

@@ -78,5 +78,6 @@ def test_cli_compare_calls_each_block_once_per_iteration(sparse_file, tmp_path, 
     assert cli.main(["compare", "--data", str(sparse_file), "--blocks", "4", "--batch", "3",
                      "--iters", str(ITERS), "--eval-every", "10",
                      "--outdir", str(tmp_path / "cmp")]) == 0
-    # proposed, adam and avg-sca read the oracle; pegasos steps on one row itself.
+    # proposed, adam and avg-sca read the oracle; pegasos reads its batch's rows
+    # through problems.hinge_pass, not through batch_grad.
     assert calls == {l: 3 * ITERS for l in range(4)}
