@@ -99,11 +99,21 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
     g = np.asarray(g, dtype=np.float64)
     if w.shape != g.shape:
         raise ValueError(f"layout mismatch: {w.shape} vs {g.shape}")
-    m2 = params.beta1 * m + (1.0 - params.beta1) * g
-    v2 = params.beta2 * v + (1.0 - params.beta2) * g * g
-    m_hat = m2 / (1.0 - params.beta1 ** t)
-    v_hat = v2 / (1.0 - params.beta2 ** t)
-    w2 = w - params.lr * m_hat / (np.sqrt(v_hat) + params.eps)
+    # Fresh outputs only, each op the textbook form's own (x*a == a*x exactly).
+    tmp = g * (1.0 - params.beta1)
+    m2 = m * params.beta1
+    m2 += tmp
+    np.multiply(g, 1.0 - params.beta2, out=tmp)
+    tmp *= g
+    v2 = v * params.beta2
+    v2 += tmp
+    w2 = m2 / (1.0 - params.beta1 ** t)
+    w2 *= params.lr
+    np.divide(v2, 1.0 - params.beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += params.eps
+    w2 /= tmp
+    np.subtract(w, w2, out=w2)
     if project is not None:
         w2 = project(w2)
     return w2, m2, v2

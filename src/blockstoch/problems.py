@@ -1,15 +1,14 @@
 """Concrete problem instances: analytic synthetics for verification and the
-sparse linear SVM used by the benchmark harness."""
+sparse linear SVM used by the benchmark harness; scipy loads with the first CSR matrix."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     BlockSpec,
@@ -24,6 +23,9 @@ from .core import (
     _row_dot,
     _slices,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def even_partition(n: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
@@ -91,6 +93,7 @@ class SvmDataset:
     def matrix(self) -> sparse.csr_matrix:
         """The arrays as a scipy CSR matrix that shares their memory (the
         constructor would copy int64 index arrays whose values fit int32)."""
+        from scipy import sparse
         out = sparse.csr_matrix((self.m, self.num_features))
         out.data, out.indices, out.indptr = self.values, self.indices, self.indptr
         return out
@@ -99,6 +102,7 @@ class SvmDataset:
     def matrix_t(self) -> sparse.csc_matrix:
         """The transpose of :attr:`matrix`, a CSC matrix over the same arrays
         (``matrix.T`` would copy the index arrays on every call)."""
+        from scipy import sparse
         out = sparse.csc_matrix((self.num_features, self.m))
         out.data, out.indices, out.indptr = self.values, self.indices, self.indptr
         return out
@@ -247,6 +251,7 @@ def make_separable_dataset(m: int, n: int, margin: float = 0.5, seed: int = 0,
     deficit = np.maximum(0.0, margin - labels * scores)
     slack = np.where(deficit > 0, margin * rng.random(m), 0.0)
     features += (labels * (deficit + slack))[:, None] * w_star[None, :]
+    from scipy import sparse
     rows = sparse.csr_matrix(features)
     return SvmDataset(rows.indptr, rows.indices, rows.data, labels, n, name), w_star
 

@@ -173,6 +173,30 @@ class TestAdamStep:
         with pytest.raises(ValueError, match=r"^lr=.*positive and finite"):
             AdamParams(lr=lr)
 
+    @pytest.mark.parametrize("shared_moments", [False, True])
+    @pytest.mark.parametrize("ball", [None, L2Ball(np.full(50, 0.1), 0.5)])
+    @pytest.mark.parametrize("t", [1, 7, 1000])
+    def test_pure_and_bitwise_the_textbook_form(self, t, ball, shared_moments):
+        rng = np.random.default_rng(t)
+        w, g, m = rng.standard_normal((3, 50))
+        v = rng.random(50)
+        if shared_moments:
+            m = v
+        inputs = (w, g, m, v)
+        before = [a.tobytes() for a in inputs]
+        p = AdamParams(lr=0.03, beta1=0.8, beta2=0.99, eps=1e-6)
+        project = None if ball is None else ball.project
+        w2, m2, v2 = adam_step(w, g, m, v, t, p, project)
+        assert [a.tobytes() for a in inputs] == before
+        m_ref = p.beta1 * m + (1 - p.beta1) * g
+        v_ref = p.beta2 * v + (1 - p.beta2) * g * g
+        w_ref = w - p.lr * (m_ref / (1 - p.beta1 ** t)) / (np.sqrt(v_ref / (1 - p.beta2 ** t))
+                                                           + p.eps)
+        w_ref = w_ref if ball is None else ball.project(w_ref)
+        assert (w2.tobytes(), m2.tobytes(), v2.tobytes()) == \
+            (w_ref.tobytes(), m_ref.tobytes(), v_ref.tobytes())
+        assert not any(np.shares_memory(out, a) for out in (w2, m2, v2) for a in inputs)
+
 
 def constant_problem(dim=3, start=None):
     """Zero-gradient instance: every iterate stays put."""

@@ -1,5 +1,7 @@
 """Problem oracles: SVM pieces, synthetic quadratic, nonconvex toy."""
 
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -7,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import blockstoch
 from blockstoch import (
     Box,
     L2Ball,
@@ -27,6 +30,7 @@ from blockstoch import (
     svm_objective,
     svm_true_gradient,
 )
+from blockstoch.io import write_libsvm
 
 import oracles
 from oracles import svm_sample_grad
@@ -243,6 +247,59 @@ class TestSeparableGenerator:
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             make_separable_dataset(5, 5, seed=-1)
+
+
+class TestScipyDeferred:
+    """scipy loads with the first CSR matrix: dense runs never import it."""
+
+    DENSE = '''
+import contextlib, io, sys
+import numpy as np
+from blockstoch import (Box, L2Ball, RunConfig, make_nonconvex_toy, make_quadratic, run,
+                        run_adam, run_averaged_sca)
+from blockstoch.cli import main
+
+quad = make_quadratic(6, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
+                      feasible_sets=[Box(-np.ones(3), np.ones(3)),
+                                     L2Ball(np.zeros(3), 1.0)]).instance()
+config = RunConfig(max_iters=20, eval_every=10, seed=1)
+for inst in (quad, make_nonconvex_toy()):
+    for method in (run, run_adam, run_averaged_sca):
+        method(inst, config)
+for method in ("proposed", "adam", "avg-sca"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--method", method, "--synthetic", "quad-d8", "--iters", "20",
+                     "--eval-every", "10", "--outdir", sys.argv[1]])
+    assert code == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+'''
+
+    SVM = '''
+import sys
+from blockstoch import svm_objective
+from blockstoch.io import load_libsvm
+
+ds = load_libsvm(sys.argv[1])
+print("scipy" in sys.modules)
+print(svm_objective([0.5, -1.0, 2.0], ds, 0.1).hex(), "scipy.sparse" in sys.modules)
+'''
+
+    @staticmethod
+    def child(code, arg):
+        src = os.path.dirname(os.path.dirname(blockstoch.__file__))
+        return subprocess.run([sys.executable, "-c", code, str(arg)], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
+
+    def test_dense_library_and_cli_runs_import_no_scipy(self, tmp_path):
+        assert self.child(self.DENSE, tmp_path) == ["[]"]
+
+    def test_svm_objective_loads_scipy_at_the_first_product(self, tmp_path):
+        ds = dense_dataset([[1.0, 0.0, 2.0], [0.0, -3.0, 0.0], [0.5, 0.5, 0.0]], [1, -1, 1])
+        write_libsvm(ds, tmp_path / "tiny.libsvm")
+        expected = svm_objective([0.5, -1.0, 2.0], ds, 0.1)
+        assert self.child(self.SVM, tmp_path / "tiny.libsvm") == \
+            ["False", f"{expected.hex()} True"]
 
 
 class TestSvmProblem:
