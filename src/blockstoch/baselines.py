@@ -85,14 +85,11 @@ def pegasos_step(w, ex: tuple, lam: float, t: int) -> Vector:
     return out
 
 
-def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
-              project=None) -> tuple[Vector, Vector, Vector]:
-    """One bias-corrected Adam update (Kingma & Ba, 2015); returns (w', m', v').
-
-    A zero gradient with zero moments leaves w unchanged for every t.  When
-    ``project`` is given the updated point is projected back onto the
-    feasible set.
-    """
+def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams()
+              ) -> tuple[Vector, Vector, Vector]:
+    """One bias-corrected Adam update (Kingma & Ba, 2015); returns (w', m', v'),
+    all fresh arrays.  A zero gradient with zero moments leaves w unchanged
+    for every t.  :func:`run_adam` projects w' onto the feasible set."""
     if t < 1:
         raise ValueError("t must be >= 1")
     w = np.asarray(w, dtype=np.float64)
@@ -114,8 +111,6 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams(),
     tmp += params.eps
     w2 /= tmp
     np.subtract(w, w2, out=w2)
-    if project is not None:
-        w2 = project(w2)
     return w2, m2, v2
 
 
@@ -158,7 +153,8 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
 def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
              params: AdamParams = AdamParams(),
              sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
-    """Adam on the batch-mean stochastic gradient, projected when constrained.
+    """Adam on the batch-mean stochastic gradient; each step's fresh point goes
+    through the instance's one projection pass, as the block step's does.
 
     Besides the gradient and iterate, the second moment must stay finite: a
     squared gradient entry that overflows would freeze its coordinate.
@@ -168,12 +164,12 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
     slices = inst.block_slices
-    project = inst.project if inst.constrained_blocks else None
 
     def step(batch, t, omega_t, alpha_t):
         nonlocal w, m, v
         inst.gather_grad(batch, w, g)
-        w, m, v = adam_step(w, g, m, v, t, params, project)
+        w, m, v = adam_step(w, g, m, v, t, params)
+        inst._project_in_place(w)
         _check_finite(t, slices, g, w, v)
         return w
 

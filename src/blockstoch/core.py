@@ -256,7 +256,8 @@ class ProblemInstance:
 
     ``true_objective``/``true_gradient`` are optional exact oracles used
     for trace metrics and verification; ``x0`` is an optional preferred
-    start point (:meth:`default_start`).
+    start point (:meth:`default_start`).  Every projection of a joint vector
+    is one pass over :attr:`constrained_blocks` (:meth:`_project_in_place`).
     """
 
     blocks: tuple[BlockSpec, ...]
@@ -286,13 +287,16 @@ class ProblemInstance:
         return tuple((sl, b.feasible_set) for sl, b in zip(self.block_slices, self.blocks)
                      if not isinstance(b.feasible_set, Unconstrained))
 
-    def project(self, x) -> Vector:
-        """Project a joint vector onto the product of block sets."""
-        x = _as_vector(x, "x", self.dim)
-        out = x.copy()
+    def _project_in_place(self, x: Vector) -> Vector:
+        """The one projection pass: each constrained block's slice of x onto its
+        set, written into x; returns x.  :meth:`project` and every step call it."""
         for sl, feasible_set in self.constrained_blocks:
-            out[sl] = feasible_set.project(x[sl])
-        return out
+            x[sl] = feasible_set.project(x[sl])
+        return x
+
+    def project(self, x) -> Vector:
+        """Project a joint vector onto the product of block sets, into a fresh array."""
+        return self._project_in_place(_as_vector(x, "x", self.dim).copy())
 
     def default_start(self, x0=None) -> Vector:
         """Every method's start: ``x0``, else the instance's ``x0``, projected
@@ -426,9 +430,9 @@ def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> fl
         raise ValueError(f"alpha_probe={alpha_probe} must be positive and finite")
     if problem.true_gradient is None:
         raise UnsupportedOperationError("stationarity residual needs true_gradient")
-    x = _as_vector(x, "x")
+    x = _as_vector(x, "x", problem.dim)
     g = np.asarray(problem.true_gradient(x), dtype=np.float64)
-    moved = problem.project(x - alpha_probe * g)
+    moved = problem._project_in_place(x - alpha_probe * g)
     return _norm(x - moved) / alpha_probe
 
 
@@ -558,10 +562,10 @@ def block_step(problem: ProblemInstance, x: Vector, h: Vector) -> Step:
 
     One serial pass: gather the batch-mean gradient g at the previous
     iterate, fold it into the tracker h (updated in place), form
-    x - alpha_k h and project each constrained block's slice onto its own
-    set (:attr:`ProblemInstance.constrained_blocks`).
+    x - alpha_k h, and project its constrained blocks in place through
+    :meth:`ProblemInstance._project_in_place`.
     """
-    slices, blocks = problem.block_slices, problem.constrained_blocks
+    slices = problem.block_slices
     g = np.empty(problem.dim)
 
     def step(batch, k: int, omega_k: float, alpha_k: float) -> Vector:
@@ -569,9 +573,7 @@ def block_step(problem: ProblemInstance, x: Vector, h: Vector) -> Step:
         problem.gather_grad(batch, x, g)
         h *= 1.0 - omega_k
         h += omega_k * g
-        x = x - alpha_k * h
-        for sl, feasible_set in blocks:
-            x[sl] = feasible_set.project(x[sl])
+        x = problem._project_in_place(x - alpha_k * h)
         _check_finite(k, slices, g, x)
         return x
 

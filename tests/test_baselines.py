@@ -10,6 +10,7 @@ from scipy import sparse
 from blockstoch import (
     AdamParams,
     BlockSpec,
+    Box,
     L2Ball,
     NumericalFailureError,
     ProblemInstance,
@@ -147,14 +148,6 @@ class TestAdamStep:
             values.append(0.5 * x[0] ** 2)
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_projection_applied(self):
-        ball = L2Ball(np.zeros(2), 0.5)
-        w = np.array([0.5, 0.0])
-        g = np.array([-10.0, -10.0])
-        w2, _, _ = adam_step(w, g, np.zeros(2), np.zeros(2), 1,
-                             AdamParams(lr=1.0), project=ball.project)
-        assert np.linalg.norm(w2) <= 0.5 + 1e-12
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             AdamParams(lr=0.0)
@@ -174,9 +167,11 @@ class TestAdamStep:
             AdamParams(lr=lr)
 
     @pytest.mark.parametrize("shared_moments", [False, True])
-    @pytest.mark.parametrize("ball", [None, L2Ball(np.full(50, 0.1), 0.5)])
+    @pytest.mark.parametrize("params", [None, AdamParams(lr=0.03, beta1=0.8, beta2=0.99,
+                                                         eps=1e-6)])
     @pytest.mark.parametrize("t", [1, 7, 1000])
-    def test_pure_and_bitwise_the_textbook_form(self, t, ball, shared_moments):
+    def test_pure_and_bitwise_the_textbook_form(self, t, params, shared_moments):
+        # params None calls adam_step with its default AdamParams.
         rng = np.random.default_rng(t)
         w, g, m = rng.standard_normal((3, 50))
         v = rng.random(50)
@@ -184,15 +179,13 @@ class TestAdamStep:
             m = v
         inputs = (w, g, m, v)
         before = [a.tobytes() for a in inputs]
-        p = AdamParams(lr=0.03, beta1=0.8, beta2=0.99, eps=1e-6)
-        project = None if ball is None else ball.project
-        w2, m2, v2 = adam_step(w, g, m, v, t, p, project)
+        p = AdamParams() if params is None else params
+        w2, m2, v2 = adam_step(w, g, m, v, t, *(() if params is None else (params,)))
         assert [a.tobytes() for a in inputs] == before
         m_ref = p.beta1 * m + (1 - p.beta1) * g
         v_ref = p.beta2 * v + (1 - p.beta2) * g * g
         w_ref = w - p.lr * (m_ref / (1 - p.beta1 ** t)) / (np.sqrt(v_ref / (1 - p.beta2 ** t))
                                                            + p.eps)
-        w_ref = w_ref if ball is None else ball.project(w_ref)
         assert (w2.tobytes(), m2.tobytes(), v2.tobytes()) == \
             (w_ref.tobytes(), m_ref.tobytes(), v_ref.tobytes())
         assert not any(np.shares_memory(out, a) for out in (w2, m2, v2) for a in inputs)
@@ -304,6 +297,32 @@ class TestFullRuns:
         config = RunConfig(max_iters=500, eval_every=100, seed=1)
         x, _ = run_adam(quad.instance(), config, AdamParams(lr=0.05))
         assert np.linalg.norm(x) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("iters", [1, 2, 37, 200])
+    def test_projected_adam_is_the_hand_loop_bit_for_bit(self, iters, batch):
+        # One batch per iteration from the seed's stream, the joint gradient,
+        # the textbook step and the joint projection give run_adam's point and
+        # last record byte for byte, with a free, a Box and an L2Ball block.
+        ball = L2Ball(np.array([0.1, 0.0, -0.1]), 1.2)
+        quad = make_quadratic(9, target=np.linspace(-3.0, 3.0, 9), n_blocks=3,
+                              feasible_sets=[Unconstrained(3),
+                                             Box(-np.ones(3), np.full(3, 0.5)), ball])
+        inst, params = quad.instance(), AdamParams(lr=0.05)
+        config = RunConfig(max_iters=iters, eval_every=iters, seed=5, batch_size=batch)
+        rng = np.random.default_rng(config.seed)
+        w = inst.default_start()
+        m, v, g = np.zeros(9), np.zeros(9), np.empty(9)
+        for t in range(1, iters + 1):
+            inst.gather_grad(inst.sample_batch(rng, batch), w, g)
+            w, m, v = adam_step(w, g, m, v, t, params)
+            w = inst.project(w)
+        x, trace = run_adam(inst, config, params)
+        assert x.tobytes() == w.tobytes()
+        assert [r.k for r in trace] == [iters]
+        assert trace[0].objective == inst.true_objective(w)
+        if iters >= 37:  # both projections are active by then
+            assert w[5] == 0.5 and np.linalg.norm(w[6:] - ball.center) == pytest.approx(1.2)
 
     def test_shared_sample_stream(self):
         ds, _ = make_separable_dataset(60, 8, seed=13)

@@ -198,6 +198,25 @@ class TestProject:
             once = project(ball, p)
             np.testing.assert_allclose(project(ball, once), once, rtol=1e-15, atol=1e-15)
 
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_joint_projection_is_pure(self, read_only):
+        # ProblemInstance.project copies x, then projects the copy in place:
+        # x keeps its bytes (a read-only x too) and the result is fresh, also
+        # where no block is constrained and the pass changes nothing.
+        ball = L2Ball(np.zeros(2), 1.0)
+        mixed = make_quadratic(6, n_blocks=3, feasible_sets=[
+            Unconstrained(2), Box(-np.ones(2), np.ones(2)), ball]).instance()
+        free = make_quadratic(6, n_blocks=3).instance()
+        x = np.array([5.0, -5.0, 5.0, -5.0, 3.0, 4.0])
+        x.flags.writeable = not read_only
+        before = x.tobytes()
+        for inst, expected in ((mixed, np.concatenate([x[:2], [1.0, -1.0], ball.project(x[4:])])),
+                               (free, x)):
+            out = inst.project(x)
+            assert x.tobytes() == before
+            assert out.flags.writeable and not np.shares_memory(out, x)
+            assert out.tobytes() == expected.tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             project(Box([0.0], [1.0]), [0.5, 0.5])
@@ -503,9 +522,10 @@ class TestRun:
         assert x[0] > 1.0 and x[2] == 1.0
 
     def test_joint_projection_skips_only_unconstrained_blocks(self, monkeypatch):
-        # ProblemInstance.project, which run_adam applies to every step, copies
-        # Unconstrained blocks and projects every other set, a proxy included;
-        # the only Unconstrained.project calls are the proxy's.
+        # ProblemInstance.project and run_adam's steps, through the one
+        # projection pass, leave Unconstrained blocks as they are and project
+        # every other set, a proxy included; the only Unconstrained.project
+        # calls are the proxy's.
         calls = count_projections(monkeypatch)
         proxy = ProxySet(Unconstrained(1))
         inst = ProblemInstance(
