@@ -67,7 +67,9 @@ each method before ``--iters`` (proposed at iteration 90, pegasos at 657,
 adam at 1 and avg-sca at 2), and compare each method's trace and manifest.
 The ``cli-gen`` entries hold the bytes that ``blockstoch gen`` writes for
 each of its three specs (``separable-svm``, ``quadratic``,
-``nonconvex-toy``) with fixed flags and ``--seed 4``.
+``nonconvex-toy``) with fixed flags and ``--seed 4``;
+``cli-gen/separable-svm-wide`` writes a 30 x 500 planted file, so the
+generator's CSR arrays are compared on rows of 500 entries, not only 7.
 ``io-write/parsed-sparse`` holds the bytes that ``write_libsvm`` writes for
 the subsampled parsed-sparse corpus, whose empty rows, dropped ``k:0``
 tokens and rows of varying length the dense ``cli-gen`` rows never have.
@@ -179,14 +181,18 @@ with tempfile.TemporaryDirectory() as tmp:
             manifest = read_manifest(f"stop/{method}.manifest.txt")
             out[f"cli-term-eps/{method}"] = {
                 "trace": trace, "manifest": {k: v for k, v in manifest.items() if k not in timings}}
-        for spec, flags in (("separable-svm", ("--m", "40", "--n", "7", "--margin", "0.3")),
-                            ("quadratic", ("--dim", "12", "--sigma", "0.5")),
-                            ("nonconvex-toy", ("--sigma", "2.5"))):
+        for name, spec, flags in (
+                ("separable-svm", "separable-svm",
+                 ("--m", "40", "--n", "7", "--margin", "0.3")),
+                ("separable-svm-wide", "separable-svm",
+                 ("--m", "30", "--n", "500", "--margin", "0.3")),
+                ("quadratic", "quadratic", ("--dim", "12", "--sigma", "0.5")),
+                ("nonconvex-toy", "nonconvex-toy", ("--sigma", "2.5"))):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["gen", spec, *flags, "--seed", "4", "--out", f"gen/{spec}"])
+                code = cli.main(["gen", spec, *flags, "--seed", "4", "--out", f"gen/{name}"])
             if code != 0:
-                raise SystemExit(f"gen {spec} exited {code}")
-            out[f"cli-gen/{spec}"] = Path(f"gen/{spec}").read_bytes().decode("utf-8")
+                raise SystemExit(f"gen {name} exited {code}")
+            out[f"cli-gen/{name}"] = Path(f"gen/{name}").read_bytes().decode("utf-8")
     finally:
         os.chdir(cwd)
 for name, problem, schedule, batch, iters in (

@@ -303,8 +303,9 @@ def read_manifest(path) -> dict[str, str]:
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: line {line_no} is not key=value")
+        if not sep or key in out:
+            fault = f"duplicate key {key!r}" if sep else "not key=value"
+            raise ValueError(f"{path}: line {line_no}: {fault}")
         out[key] = value
     return out
 

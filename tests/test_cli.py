@@ -239,6 +239,16 @@ class TestRun:
             f"error: --synthetic: {spec}: not valid UTF-8 text (")
         assert not (tmp_path / "r").exists()
 
+    def test_problem_file_with_a_repeated_key_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "dup.prob"
+        spec.write_text("kind=quadratic\ndim=3\nsigma=1.0\ndim=5\n")
+        code = run_cli("run", "--method", "proposed", "--synthetic", str(spec),
+                       "--outdir", str(tmp_path / "r"))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: --synthetic: {spec}: line 4: duplicate key 'dim'\n"
+        assert not (tmp_path / "r").exists()
+
     def test_requires_exactly_one_problem(self, tmp_path, capsys):
         assert run_cli("run", "--method", "adam",
                        "--outdir", str(tmp_path / "r")) == 2

@@ -494,6 +494,18 @@ class TestManifest:
         with pytest.raises(ValueError):
             read_manifest(path)
 
+    # Keeping the last value would silently run a 5-D problem from the first file.
+    @pytest.mark.parametrize("text, fault", [
+        ("kind=quadratic\ndim=3\nsigma=1.0\ndim=5\n", "line 4: duplicate key 'dim'"),
+        ("seed=1\n\nseed=1\n", "line 3: duplicate key 'seed'"),
+    ])
+    def test_read_rejects_a_repeated_key(self, tmp_path, text, fault):
+        path = tmp_path / "p.prob"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_manifest(path)
+        assert str(err.value) == f"{path}: {fault}"
+
     def test_checksum(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(b"payload")

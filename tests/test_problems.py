@@ -248,9 +248,20 @@ class TestSeparableGenerator:
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             make_separable_dataset(5, 5, seed=-1)
 
+    @pytest.mark.parametrize("m, n", [(1000, 20), (50, 300), (7, 1), (200, 64)])
+    def test_csr_arrays_equal_scipy_csr_of_the_dense_rows(self, m, n):
+        from scipy import sparse
+        ds, _ = make_separable_dataset(m, n, margin=0.3, seed=4)
+        expected = sparse.csr_matrix(ds.matrix.toarray())
+        for got, want in ((ds.indptr, expected.indptr), (ds.indices, expected.indices),
+                          (ds.values, expected.data)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(ds.indptr, np.arange(m + 1) * n)  # no zero drawn
+
 
 class TestScipyDeferred:
-    """scipy loads with the first CSR matrix: dense runs never import it."""
+    """scipy loads with an SVM dataset's CSR matrix, which building an SVM instance
+    reads; dense runs and ``gen`` never import it."""
 
     DENSE = '''
 import contextlib, io, sys
@@ -284,15 +295,68 @@ print("scipy" in sys.modules)
 print(svm_objective([0.5, -1.0, 2.0], ds, 0.1).hex(), "scipy.sparse" in sys.modules)
 '''
 
+    GEN = '''
+import contextlib, io, sys
+from blockstoch.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["gen", "separable-svm", "--m", "30", "--n", "500", "--seed", "4",
+                 "--out", sys.argv[1]])
+assert code == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+'''
+
+    # Which of scipy.sparse and the training set's CSR matrix the first method sees.
+    FIRST_METHOD = '''
+import contextlib, io, sys
+from blockstoch import cli, io as dataio
+
+loaded, seen = [], []
+load_libsvm = dataio.load_libsvm
+
+def recording_load(*args, **kwargs):
+    loaded.append(load_libsvm(*args, **kwargs))
+    return loaded[-1]
+
+def watch(runner):
+    def first_call(*args, **kwargs):
+        if not seen:
+            seen.append(("scipy.sparse" in sys.modules, "matrix" in vars(loaded[0])))
+        return runner(*args, **kwargs)
+    return first_call
+
+dataio.load_libsvm = recording_load
+cli.run, cli.run_adam = watch(cli.run), watch(cli.run_adam)
+data, outdir, *command = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main([*command, "--data", data, "--iters", "20", "--eval-every", "10",
+                     "--outdir", outdir])
+assert code == 0
+print(*seen[0])
+'''
+
     @staticmethod
-    def child(code, arg):
+    def child(code, *args):
         src = os.path.dirname(os.path.dirname(blockstoch.__file__))
-        return subprocess.run([sys.executable, "-c", code, str(arg)], capture_output=True,
-                              text=True, check=True,
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
 
     def test_dense_library_and_cli_runs_import_no_scipy(self, tmp_path):
         assert self.child(self.DENSE, tmp_path) == ["[]"]
+
+    def test_gen_separable_svm_imports_no_scipy(self, tmp_path):
+        assert self.child(self.GEN, tmp_path / "gen.libsvm") == ["[]"]
+        assert (tmp_path / "gen.libsvm").stat().st_size > 0
+
+    @pytest.mark.parametrize("command", [("run", "--method", "adam"), ("compare",)],
+                             ids=["run-adam", "compare"])
+    def test_first_method_starts_with_the_csr_matrix_built(self, tmp_path, command):
+        # So the import and the CSR view stay out of every method's cpu_seconds.
+        ds, _ = make_separable_dataset(60, 8, seed=1)
+        write_libsvm(ds, tmp_path / "train.libsvm")
+        assert self.child(self.FIRST_METHOD, tmp_path / "train.libsvm", tmp_path / "out",
+                          *command) == ["True True"]
 
     def test_svm_objective_loads_scipy_at_the_first_product(self, tmp_path):
         ds = dense_dataset([[1.0, 0.0, 2.0], [0.0, -3.0, 0.0], [0.5, 0.5, 0.0]], [1, -1, 1])
