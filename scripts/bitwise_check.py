@@ -12,7 +12,10 @@ values, numbers in the CLI's files), or says that one tree lacks the
 entry or that the two hold different counts of numbers.  The
 configurations are the benchmark's svm-loop shape (planted 1000 x 20
 SVM, 4 blocks, B = 1, schedule (0.51, 0.75, 5.0)), the same at B = 64
-(``svm-loop-b64``, where a mini-batch's rows meet each block), a Box/L2Ball
+(``svm-loop-b64``, where a mini-batch's rows meet each block), the same
+at B = 1 for 300 iterations with a record at every one
+(``svm-eval-every-1``, so every record's objective and tracker error
+come through the SVM instance's shared margins), a Box/L2Ball
 quadratic at batch 4, a quadratic at batch 4 with one Unconstrained,
 one Box and one L2Ball block (so Adam's projected path runs with an
 unconstrained block in it), and a parsed-sparse SVM at
@@ -198,6 +201,7 @@ with tempfile.TemporaryDirectory() as tmp:
 for name, problem, schedule, batch, iters in (
         ("svm-loop", svm, Schedule(0.51, 0.75, 5.0), 1, 2000),
         ("svm-loop-b64", svm, Schedule(0.51, 0.75, 5.0), 64, 2000),
+        ("svm-eval-every-1", svm, Schedule(0.51, 0.75, 5.0), 1, 300),
         ("quad-box-ball", quad, Schedule(), 4, 2000),
         ("quad-mixed", mixed, Schedule(), 4, 2000),
         ("parsed-sparse", parsed, Schedule(), 4, 2000),
@@ -212,8 +216,8 @@ for name, problem, schedule, batch, iters in (
         ("quad-per-coordinate-b8", per_coordinate, Schedule(), 8, 500),
         ("quad-per-coordinate-b64", per_coordinate, Schedule(), 64, 500)):
     inst = problem.instance()
-    config = RunConfig(schedule=schedule, batch_size=batch, max_iters=iters, eval_every=100,
-                       seed=5)
+    config = RunConfig(schedule=schedule, batch_size=batch, max_iters=iters,
+                       eval_every=1 if name == "svm-eval-every-1" else 100, seed=5)
     out[f"{name}/proposed"] = digest(*run(inst, config))
     out[f"{name}/adam"] = digest(*run_adam(inst, config))
     out[f"{name}/avg-sca"] = digest(*run_averaged_sca(inst, config, 0.8))

@@ -128,26 +128,37 @@ def hinge_pass(ds: SvmDataset):
         limit = math.nextafter(1.0, 0.0) if strict else 1.0  # m < 1 iff m <= nextafter(1, 0)
         for i in tokens:
             a, b, y = bounds[i], bounds[i + 1], labels[i]
-            if y * _row_dot(values[a:b], w[indices[a:b]]) <= limit:
-                out[indices[a:b]] += (y * scale) * values[a:b]
+            cols, vals = indices[a:b], values[a:b]
+            if y * _row_dot(vals, w[cols]) <= limit:
+                out[cols] += (y * scale) * vals
 
     return row_loop
+
+
+def _margins(w: Vector, ds: SvmDataset) -> Vector:
+    """y_i <x_i, w> for every example i: the one full-data product of the SVM."""
+    return ds.labels * (ds.matrix @ w)
+
+
+def _hinge_objective(w: Vector, margins: Vector, lam: float) -> float:
+    return 0.5 * lam * _dot(w, w) + float(np.maximum(0.0, 1.0 - margins).mean())
+
+
+def _hinge_gradient(w: Vector, margins: Vector, ds: SvmDataset, lam: float) -> Vector:
+    coeff = np.where(margins <= 1.0, ds.labels, 0.0)
+    return lam * w - (ds.matrix_t @ coeff) / ds.m
 
 
 def svm_objective(w, ds: SvmDataset, lam: float) -> float:
     """Regularized mean hinge loss (lam/2)||w||^2 + mean_i max(0, 1 - y_i <x_i, w>)."""
     w = np.asarray(w, dtype=np.float64)
-    margins = ds.labels * (ds.matrix @ w)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * _dot(w, w) + float(hinge.mean())
+    return _hinge_objective(w, _margins(w, ds), lam)
 
 
 def svm_true_gradient(w, ds: SvmDataset, lam: float) -> Vector:
     """Full-dataset (sub)gradient of svm_objective; active side at the kink."""
     w = np.asarray(w, dtype=np.float64)
-    margins = ds.labels * (ds.matrix @ w)
-    coeff = np.where(margins <= 1.0, ds.labels, 0.0)
-    return lam * w - (ds.matrix_t @ coeff) / ds.m
+    return _hinge_gradient(w, _margins(w, ds), ds, lam)
 
 
 def svm_accuracy(w, ds: SvmDataset) -> float:
@@ -155,8 +166,7 @@ def svm_accuracy(w, ds: SvmDataset) -> float:
 
     A zero inner product counts as misclassified.
     """
-    scores = ds.matrix @ np.asarray(w, dtype=np.float64)
-    return float(np.mean(scores * ds.labels > 0.0))
+    return float(np.mean(_margins(np.asarray(w, dtype=np.float64), ds) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -192,13 +202,17 @@ class SvmProblem:
         for it.  ``batch_grad`` computes the joint batch-mean gradient once per pair of
         ``batch`` and ``x`` objects (``is``) and returns read-only views of it, so no
         write can corrupt another block's hit; a caller that changes either in place
-        between block calls must pass new objects.  The memo is one tuple, read and
-        replaced whole, so threads sharing it never mix key and gradient."""
+        between block calls must pass new objects.  ``true_objective`` and
+        ``true_gradient`` share one margin pass per point: the last point's margins are
+        kept under its bytes, a value key, so a point changed in place is recomputed.
+        Each memo is one tuple, read and replaced whole, so threads sharing it never mix
+        key and value."""
         ds, lam, ranges = self.dataset, self.lam, self.block_ranges
         ds.matrix  # else the first full-data product imports scipy inside a timed run
         m = ds.m
         hinge = hinge_pass(ds)
         memo = (None, None, None)  # (batch, x, joint gradient)
+        evaluated = (None, None)  # (bytes of a point, its margins)
 
         def batch_grad(batch, x, l):
             nonlocal memo
@@ -208,20 +222,28 @@ class SvmProblem:
                 w = np.asarray(x, dtype=np.float64)
                 g = lam * w
                 hinge(g, w, batch.tolist(), -1.0 / len(batch))
-                g.flags.writeable = False
+                g.setflags(write=False)
                 memo = (batch, x, g)
             return g[start:stop]
 
         def sample_batch(rng, size):
             return rng.integers(0, m, size=size)
 
+        def at(x):
+            nonlocal evaluated
+            w = np.asarray(x, dtype=np.float64)
+            key, margins = evaluated
+            if key != w.tobytes():
+                evaluated = key, margins = w.tobytes(), _margins(w, ds)
+            return w, margins
+
         blocks = tuple(BlockSpec(b - a, Unconstrained(b - a)) for a, b in ranges)
         return ProblemInstance(
             blocks=blocks,
             sample_batch=sample_batch,
             batch_grad=batch_grad,
-            true_objective=lambda x: svm_objective(x, ds, lam),
-            true_gradient=lambda x: svm_true_gradient(x, ds, lam),
+            true_objective=lambda x: _hinge_objective(*at(x), lam),
+            true_gradient=lambda x: _hinge_gradient(*at(x), ds, lam),
             x0=np.ones(ds.num_features),
         )
 
@@ -339,7 +361,8 @@ class QuadraticProblem:
 
         def batch_grad(z_batch, x, l):
             sl = slices[l]
-            return c[sl] * (np.asarray(x)[sl] - np.asarray(z_batch)[:, sl].mean(axis=0))
+            z = np.asarray(z_batch)[:, sl]
+            return c[sl] * (np.asarray(x)[sl] - np.add.reduce(z, axis=0) / len(z))
 
         return ProblemInstance(
             blocks=self.blocks,
@@ -397,7 +420,7 @@ def make_nonconvex_toy(noise_stddev: float = 1.0) -> ProblemInstance:
         return sigma * rng.standard_normal((size, 2))
 
     def batch_grad(z_batch, x, l):
-        return true_gradient(x) + np.asarray(z_batch).mean(axis=0)
+        return true_gradient(x) + np.add.reduce(z_batch, axis=0) / len(z_batch)
 
     return ProblemInstance(
         blocks=(BlockSpec(2, box),),

@@ -805,6 +805,37 @@ class TestCheckFinite:
             _check_finite(1, SLICES, g, x)
             _check_finite(1, SLICES, None, x)
 
+    @pytest.mark.parametrize("n", [core.ROW_BLAS_MAX, core.ROW_BLAS_MAX + 1])
+    def test_both_reductions_are_quiet_and_name_the_same_block(self, n):
+        # np.vdot decides up to ROW_BLAS_MAX entries, _dot beyond: neither
+        # warns, and either way the scan names the block.
+        slices = (slice(0, 2), slice(2, n // 2), slice(n // 2, n))
+        big = np.full(n, 1e200)
+        cases = [  # (gradient, iterate, second moment entries, (block, what) named)
+            ({n - 1: np.nan}, {}, None, (2, "sample gradient")),
+            ({}, {n // 2 - 1: np.inf}, None, (1, "iterate")),
+            ({3: 0.0}, {3: -np.inf}, None, (1, "iterate")),  # inf * 0 is NaN
+            ({n // 2: -np.inf}, {n - 1: np.nan}, None, (2, "sample gradient")),
+            ({0: 1e200}, {1: np.nan}, None, (0, "iterate")),
+            ({}, {}, {n - 1: np.inf}, (2, "second moment")),
+            ({}, {}, {2: np.nan}, (1, "second moment")),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._dot(big, -big) == -np.inf
+            _check_finite(1, slices, big, -big)
+            _check_finite(1, slices, None, big)
+            _check_finite(1, slices, np.ones(n), big, big)
+            for g_bad, x_bad, v_bad, named in cases:
+                g, x, v = np.ones(n), np.full(n, -0.5), None if v_bad is None else np.ones(n)
+                for vector, bad in ((g, g_bad), (x, x_bad), (v, v_bad or {})):
+                    for j, value in bad.items():
+                        vector[j] = value
+                with pytest.raises(NumericalFailureError) as info:
+                    _check_finite(7, slices, g, x, v)
+                assert (info.value.k, info.value.block) == (7, named[0])
+                assert str(info.value) == f"non-finite {named[1]} at iteration 7, block {named[0]}"
+
     # Adam's squared gradient overflows, and warns.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_run_with_huge_finite_gradient_does_not_raise(self):
@@ -918,6 +949,9 @@ class TestBlasThreadCount:
 
     - ``core._dot`` (numpy's own one-thread loop) for every problem-sized
       vector: objectives, norms, tracker and step sizes;
+    - ``np.vdot`` in ``core._check_finite`` up to ``core.ROW_BLAS_MAX``
+      entries, ``_dot`` beyond: only whether the sum is finite is read,
+      which no summation order changes;
     - ``core._row_dot`` for the SVM oracle's row margin, Pegasos's margin and
       the planted separator's norm: BLAS ddot up to ``core.ROW_BLAS_MAX``
       entries, where OpenBLAS keeps it on one thread, ``_dot`` beyond;

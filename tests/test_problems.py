@@ -502,6 +502,38 @@ class TestSvmProblem:
         assert not np.shares_memory(joint, fresh)
         assert [g_l.tobytes() for g_l in blocks] == kept
 
+    def test_true_oracles_equal_module_functions_at_interleaved_points(self):
+        # The instance's true_objective and true_gradient share one margin
+        # pass per point value; revisited points, equal copies and points
+        # asked in either order must give the module functions' bits.
+        rng = np.random.default_rng(14)
+        ds = random_dataset(rng, m=40, n=9, density=0.5)
+        inst = SvmProblem.with_blocks(ds, 0.03, 3).instance()
+        points = [rng.standard_normal(9) for _ in range(3)]
+        active = {bool(a) for w in points for a in ds.labels * (ds.matrix @ w) <= 1.0}
+        assert active == {True, False}
+        for i, gradient_first in ((0, False), (1, True), (0, True), (2, False), (2, True),
+                                  (1, False), (0, False)):
+            w = points[i] if gradient_first else points[i].copy()
+            calls = [(inst.true_objective, svm_objective), (inst.true_gradient, svm_true_gradient)]
+            for oracle, module_function in calls[::-1] if gradient_first else calls:
+                got, want = oracle(w), module_function(w, ds, 0.03)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (i, oracle)
+
+    def test_point_changed_in_place_is_evaluated_afresh(self):
+        # The margins are kept under the point's bytes, not its identity:
+        # stale margins would keep the old point's active set here.
+        rng = np.random.default_rng(15)
+        ds = random_dataset(rng, m=40, n=9, density=0.5)
+        inst = SvmProblem.with_blocks(ds, 0.03, 3).instance()
+        x = rng.standard_normal(9)
+        before = ds.labels * (ds.matrix @ x) <= 1.0
+        inst.true_objective(x)
+        x *= -1.0
+        assert not np.array_equal(before, ds.labels * (ds.matrix @ x) <= 1.0)
+        assert inst.true_gradient(x).tobytes() == svm_true_gradient(x, ds, 0.03).tobytes()
+        assert inst.true_objective(x) == svm_objective(x, ds, 0.03)
+
     def test_default_start_is_all_ones(self):
         ds, _ = make_separable_dataset(10, 6, seed=2)
         inst = SvmProblem.with_blocks(ds, 0.1, 2).instance()
