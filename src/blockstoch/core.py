@@ -308,17 +308,13 @@ class ProblemInstance:
         _require_finite(x, "projected x0")
         return x
 
-    @cached_property
-    def _block_shapes(self) -> tuple[tuple[slice, tuple[int]], ...]:  # for gather_grad
-        return tuple((sl, (sl.stop - sl.start,)) for sl in self.block_slices)
-
     def gather_grad(self, batch, x: Vector, out: Vector) -> Vector:
         """Write the batch-mean gradient at x into the joint vector out, one
         ``batch_grad`` call per block, and return out.  A block gradient
         that is not an array of shape ``(block dim,)`` raises ValueError."""
-        for l, (sl, shape) in enumerate(self._block_shapes):
+        for l, sl in enumerate(self.block_slices):
             g_l = self.batch_grad(batch, x, l)
-            shape_l = getattr(g_l, "shape", None)
+            shape_l, shape = getattr(g_l, "shape", None), (sl.stop - sl.start,)
             if shape_l != shape:
                 raise ValueError(f"block {l} gradient has shape {shape_l}, expected {shape}")
             out[sl] = g_l
@@ -453,27 +449,36 @@ for as many batches at once as fit in it (at least one)."""
 
 def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector],
                  step_norm: float, started_ns: int) -> TraceRecord:
-    objective = None if problem.true_objective is None else float(problem.true_objective(x))
+    objective = None
+    if problem.true_objective is not None:
+        objective = float(problem.true_objective(x))
     tracker_error = None
     if h is not None and problem.true_gradient is not None:
-        tracker_error = _norm(h - np.asarray(problem.true_gradient(x), dtype=np.float64))
-    return TraceRecord(k, objective, step_norm, tracker_error,
-                       time.perf_counter_ns() - started_ns)
+        g = np.asarray(problem.true_gradient(x), dtype=np.float64)
+        tracker_error = _norm(h - g)
+    return TraceRecord(
+        k=k,
+        objective=objective,
+        step_norm=step_norm,
+        tracker_error=tracker_error,
+        elapsed_ns=time.perf_counter_ns() - started_ns,
+    )
 
 
 def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vector,
                   v: Optional[Vector] = None) -> None:
     """Raise NumericalFailureError unless the iterate, the joint gradient
     and Adam's second moment v (each if given) are finite.  One reduction
-    decides: x . v, else x . g, else x . x, taken by ``np.vdot`` up to
-    ROW_BLAS_MAX entries and by :func:`_dot` beyond (both quiet on overflow,
-    unlike ``ndarray.dot``, ``@``, ``np.inner`` and ``np.vecdot``), is finite
-    unless an entry of either is NaN or inf (inf * 0 is NaN; a non-finite
-    gradient makes v non-finite) or the sum overflows.  Only then are the
-    blocks scanned in order, gradient before iterate, then the second moment,
-    and the first non-finite one (if any) named.  So the summation order
-    cannot move the outcome: a non-finite entry makes the sum non-finite in
-    any order, and an overflow of finite entries starts a scan that finds nothing."""
+    decides: x . v, else x . g, else x . x, is finite unless an entry of
+    either is NaN or inf (inf * 0 is NaN; a non-finite gradient makes v
+    non-finite) or the sum overflows.  Only then are the blocks scanned in
+    order, gradient before iterate, then the second moment, and the first
+    non-finite one (if any) named; an overflow of finite entries starts a
+    scan that finds nothing, so no summation order can move the outcome.
+    The reduction is ``np.vdot`` (quiet on overflow, unlike ``ndarray.dot``,
+    ``@``, ``np.inner`` and ``np.vecdot``) up to ROW_BLAS_MAX entries.
+    Beyond, OpenBLAS splits ``ddot`` over its threads, whose wake-ups cost
+    more CPU than the sum, so :func:`_dot` takes it on one thread."""
     y = v if v is not None else x if g is None else g
     if math.isfinite(np.vdot(x, y) if x.size <= ROW_BLAS_MAX else _dot(x, y)):
         return
