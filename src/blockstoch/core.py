@@ -308,13 +308,17 @@ class ProblemInstance:
         _require_finite(x, "projected x0")
         return x
 
+    @cached_property
+    def _block_shapes(self) -> tuple[tuple[slice, tuple[int]], ...]:  # for gather_grad
+        return tuple((sl, (sl.stop - sl.start,)) for sl in self.block_slices)
+
     def gather_grad(self, batch, x: Vector, out: Vector) -> Vector:
         """Write the batch-mean gradient at x into the joint vector out, one
         ``batch_grad`` call per block, and return out.  A block gradient
         that is not an array of shape ``(block dim,)`` raises ValueError."""
-        for l, sl in enumerate(self.block_slices):
+        for l, (sl, shape) in enumerate(self._block_shapes):
             g_l = self.batch_grad(batch, x, l)
-            shape_l, shape = getattr(g_l, "shape", None), (sl.stop - sl.start,)
+            shape_l = getattr(g_l, "shape", None)
             if shape_l != shape:
                 raise ValueError(f"block {l} gradient has shape {shape_l}, expected {shape}")
             out[sl] = g_l
