@@ -85,6 +85,25 @@ def pegasos_step(w, ex: tuple, lam: float, t: int) -> Vector:
     return out
 
 
+def _adam_update(w, g, m, v, t: int, params: AdamParams, out: Vector, tmp: Vector) -> Vector:
+    """:func:`adam_step` with the textbook form's own ops (x*a == a*x exactly):
+    m and v in place, w' into ``out`` (not w) with ``tmp`` as scratch; returns out."""
+    np.multiply(g, 1.0 - params.beta1, out=tmp)
+    m *= params.beta1
+    m += tmp
+    np.multiply(g, 1.0 - params.beta2, out=tmp)
+    tmp *= g
+    v *= params.beta2
+    v += tmp
+    np.divide(m, 1.0 - params.beta1 ** t, out=out)
+    out *= params.lr
+    np.divide(v, 1.0 - params.beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += params.eps
+    out /= tmp
+    return np.subtract(w, out, out=out)
+
+
 def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams()
               ) -> tuple[Vector, Vector, Vector]:
     """One bias-corrected Adam update (Kingma & Ba, 2015); returns (w', m', v'),
@@ -96,21 +115,8 @@ def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams()
     g = np.asarray(g, dtype=np.float64)
     if w.shape != g.shape:
         raise ValueError(f"layout mismatch: {w.shape} vs {g.shape}")
-    # Fresh outputs only, each op the textbook form's own (x*a == a*x exactly).
-    tmp = g * (1.0 - params.beta1)
-    m2 = m * params.beta1
-    m2 += tmp
-    np.multiply(g, 1.0 - params.beta2, out=tmp)
-    tmp *= g
-    v2 = v * params.beta2
-    v2 += tmp
-    w2 = m2 / (1.0 - params.beta1 ** t)
-    w2 *= params.lr
-    np.divide(v2, 1.0 - params.beta2 ** t, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += params.eps
-    w2 /= tmp
-    np.subtract(w, w2, out=w2)
+    m2, v2 = np.array(m, dtype=np.float64), np.array(v, dtype=np.float64)
+    w2 = _adam_update(w, g, m2, v2, t, params, np.empty_like(w), np.empty_like(w))
     return w2, m2, v2
 
 
@@ -153,23 +159,26 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
 def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
              params: AdamParams = AdamParams(),
              sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
-    """Adam on the batch-mean stochastic gradient; each step's fresh point goes
+    """Adam on the batch-mean stochastic gradient; each step's point goes
     through the instance's one projection pass, as the block step's does.
 
-    Besides the gradient and iterate, the second moment must stay finite: a
-    squared gradient entry that overflows would freeze its coordinate.
+    The moments are updated in place, and each point is written into a spare
+    buffer that then swaps with the previous one.  Besides the gradient and
+    iterate, the second moment must stay finite: a squared gradient entry
+    that overflows would freeze its coordinate.
     :func:`blockstoch.core._check_finite` checks all three with the one
     product w . v."""
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
+    spare, tmp = np.empty(inst.dim), np.empty(inst.dim)
     slices = inst.block_slices
 
     def step(batch, t, omega_t, alpha_t):
-        nonlocal w, m, v
+        nonlocal w, spare
         inst.gather_grad(batch, w, g)
-        w, m, v = adam_step(w, g, m, v, t, params)
-        inst._project_in_place(w)
+        _adam_update(w, g, m, v, t, params, spare, tmp)
+        w, spare = inst._project_in_place(spare), w
         _check_finite(t, slices, g, w, v)
         return w
 

@@ -152,9 +152,12 @@ class Box:
     def centroid(self) -> Vector:
         # Midpoint where both bounds are finite, else the finite bound, else 0.
         lo, hi = self.lower, self.upper
-        mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2.0, 0.0)
-        mid = np.where(np.isfinite(lo) & ~np.isfinite(hi), lo, mid)
-        mid = np.where(~np.isfinite(lo) & np.isfinite(hi), hi, mid)
+        inf_lo, inf_hi = np.isinf(lo), np.isinf(hi)
+        mid = lo + hi
+        mid /= 2.0
+        np.copyto(mid, lo, where=inf_hi)
+        np.copyto(mid, hi, where=inf_lo)
+        np.copyto(mid, 0.0, where=inf_lo & inf_hi)
         return mid
 
 
@@ -187,7 +190,9 @@ class L2Ball:
             scale = float(np.abs(offset).max())  # or take inf signs; NaN stays NaN
             offset = np.sign(offset) * np.isinf(offset) if scale == math.inf else offset / scale
             dist = _norm(offset)
-        return self.center + (self.radius / dist) * offset
+        offset *= self.radius / dist
+        offset += self.center
+        return offset
 
     def centroid(self) -> Vector:
         return self.center.copy()
@@ -517,13 +522,13 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
 
     Iteration k takes its mini-batch from the stream seeded by
     ``config.seed`` and calls ``step(batch, k, omega_k, alpha_k)``, which
-    advances the method's state and returns its reported point as a fresh
-    array (``x`` is the one before the first step).  Records are taken at
-    the reported point every ``eval_every`` iterations and at the last, with
-    the error of the live tracker ``h`` when given.  ``config.term_eps`` stops
-    the run, recorded, once the reported step over alpha_k is at most it.
-    ``sample_log`` collects copies of the first 100 batches for
-    sample-stream audits.
+    advances the method's state and returns its reported point as an array
+    that is not the previous point (``x`` is the one before the first step).
+    Records are taken at the reported point every ``eval_every`` iterations
+    and at the last, with the error of the live tracker ``h`` when given.
+    ``config.term_eps`` stops the run, recorded, once the reported step over
+    alpha_k is at most it.  ``sample_log`` collects copies of the first 100
+    batches for sample-stream audits.
 
     The batches come from one ``sample_batch`` call per ``DRAW_BYTES`` of
     draws: the first call draws one batch, whose size fixes how many the

@@ -321,13 +321,15 @@ class QuadraticProblem:
         return self.target.size
 
     def objective(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        offsets = x - self.target
-        return 0.5 * _dot(self.curvature, offsets * offsets) \
+        offsets = np.subtract(x, self.target, dtype=np.float64)
+        offsets *= offsets
+        return 0.5 * _dot(self.curvature, offsets) \
             + 0.5 * self.noise_stddev ** 2 * float(self.curvature.sum())
 
     def gradient(self, x) -> Vector:
-        return self.curvature * (np.asarray(x, dtype=np.float64) - self.target)
+        out = np.subtract(x, self.target, dtype=np.float64)
+        out *= self.curvature
+        return out
 
     def optimum(self) -> Vector:
         """Constrained minimizer, available analytically.
@@ -362,7 +364,11 @@ class QuadraticProblem:
         def batch_grad(z_batch, x, l):
             sl = slices[l]
             z = np.asarray(z_batch)[:, sl]
-            return c[sl] * (np.asarray(x)[sl] - np.add.reduce(z, axis=0) / len(z))
+            out = np.add.reduce(z, axis=0)
+            out /= len(z)
+            np.subtract(np.asarray(x)[sl], out, out=out)
+            out *= c[sl]
+            return out
 
         return ProblemInstance(
             blocks=self.blocks,

@@ -298,21 +298,31 @@ class TestFullRuns:
         x, _ = run_adam(quad.instance(), config, AdamParams(lr=0.05))
         assert np.linalg.norm(x) <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("batch", [1, 4])
-    @pytest.mark.parametrize("iters", [1, 2, 37, 200])
-    def test_projected_adam_is_the_hand_loop_bit_for_bit(self, iters, batch):
+    @pytest.mark.parametrize("dim, iters, batch", [
+        *(pytest.param(9, i, b, id=f"{i}-{b}") for i in (1, 2, 37, 200) for b in (1, 4)),
+        *(pytest.param(20_000, 3, b, id=f"wide-3-{b}") for b in (1, 4))])
+    def test_projected_adam_is_the_hand_loop_bit_for_bit(self, dim, iters, batch):
         # One batch per iteration from the seed's stream, the joint gradient,
         # the textbook step and the joint projection give run_adam's point and
-        # last record byte for byte, with a free, a Box and an L2Ball block.
-        ball = L2Ball(np.array([0.1, 0.0, -0.1]), 1.2)
-        quad = make_quadratic(9, target=np.linspace(-3.0, 3.0, 9), n_blocks=3,
-                              feasible_sets=[Unconstrained(3),
-                                             Box(-np.ones(3), np.full(3, 0.5)), ball])
-        inst, params = quad.instance(), AdamParams(lr=0.05)
+        # last record byte for byte: with a free, a Box and an L2Ball block,
+        # and on a wide Box/L2Ball quadratic whose projections are both
+        # active from the first iteration.
+        if dim == 9:
+            ball = L2Ball(np.array([0.1, 0.0, -0.1]), 1.2)
+            sets = [Unconstrained(3), Box(-np.ones(3), np.full(3, 0.5)), ball]
+            lr = 0.05
+        else:
+            half = dim // 2
+            ball = L2Ball(np.random.default_rng(3).uniform(-0.1, 0.1, half), 1.0)
+            sets = [Box(-np.ones(half), np.full(half, 0.5)), ball]
+            lr = 0.5
+        quad = make_quadratic(dim, target=np.linspace(-3.0, 3.0, dim), n_blocks=len(sets),
+                              feasible_sets=sets)
+        inst, params = quad.instance(), AdamParams(lr=lr)
         config = RunConfig(max_iters=iters, eval_every=iters, seed=5, batch_size=batch)
         rng = np.random.default_rng(config.seed)
         w = inst.default_start()
-        m, v, g = np.zeros(9), np.zeros(9), np.empty(9)
+        m, v, g = np.zeros(dim), np.zeros(dim), np.empty(dim)
         for t in range(1, iters + 1):
             inst.gather_grad(inst.sample_batch(rng, batch), w, g)
             w, m, v = adam_step(w, g, m, v, t, params)
@@ -321,8 +331,16 @@ class TestFullRuns:
         assert x.tobytes() == w.tobytes()
         assert [r.k for r in trace] == [iters]
         assert trace[0].objective == inst.true_objective(w)
-        if iters >= 37:  # both projections are active by then
+        if dim > 9:
+            assert np.isin([-1.0, 0.5], w[:half]).all()
+            assert np.linalg.norm(w[half:] - ball.center) == pytest.approx(1.0)
+        elif iters >= 37:  # both projections are active by then
             assert w[5] == 0.5 and np.linalg.norm(w[6:] - ball.center) == pytest.approx(1.2)
+        # The step's buffers belong to the run, not the instance: a second
+        # run gives the same bytes in other memory and leaves the first's alone.
+        again, _ = run_adam(inst, config, params)
+        assert again.tobytes() == x.tobytes() == w.tobytes()
+        assert not np.shares_memory(again, x)
 
     def test_shared_sample_stream(self):
         ds, _ = make_separable_dataset(60, 8, seed=13)

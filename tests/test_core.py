@@ -175,6 +175,34 @@ class TestProject:
             got = project(L2Ball([0.0, 0.0], 1.0), point)
         np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("point", [[3.0, 4.0, 12.0], [1e200, 0.0, 0.0], [0.0, np.inf, 0.0]],
+                             ids=["outside", "overflowing-norm", "infinite-entry"])
+    def test_ball_projection_of_an_outside_point_is_pure(self, point):
+        # The scaling tail works in the offset it made: p and the centre keep
+        # their bytes, and the result shares memory with neither.
+        ball = L2Ball([0.5, -0.25, 1.0], 1.0)
+        p = np.array(point)
+        before = (p.tobytes(), ball.center.tobytes())
+        got = ball.project(p)
+        assert (p.tobytes(), ball.center.tobytes()) == before
+        assert not np.shares_memory(got, p) and not np.shares_memory(got, ball.center)
+        assert np.linalg.norm(got - ball.center) == pytest.approx(1.0)
+
+    def test_box_centroid_is_the_three_where_form(self):
+        # Finite pairs, one-sided and two-sided infinite bounds, pairs whose
+        # midpoint overflows to +-inf, and signed zeros, against the form
+        # the centroid had before it worked in one array.
+        lo = np.array([-1.0, 2.0, -np.inf, -np.inf, 1e308, -1.5e308, -1e308, -0.0, -0.0, 0.0, 3.0])
+        hi = np.array([3.0, np.inf, -4.0, np.inf, 1.5e308, -1e308, 1e308, 0.0, -0.0, 0.0, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = Box(lo, hi).centroid()
+            ref = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2.0, 0.0)
+        ref = np.where(np.isfinite(lo) & ~np.isfinite(hi), lo, ref)
+        ref = np.where(~np.isfinite(lo) & np.isfinite(hi), hi, ref)
+        assert got.tobytes() == ref.tobytes()
+        assert got[4] == np.inf and got[5] == -np.inf and got[3] == 0.0
+        assert not np.signbit(got[7]) and np.signbit(got[8])
+
     def test_unconstrained_identity(self):
         free = Unconstrained(3)
         p = np.array([5.0, -2.0, 0.0])

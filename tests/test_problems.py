@@ -598,6 +598,33 @@ class TestQuadratic:
                                for i in range(len(z_batch))], axis=0)
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_oracles_are_pure_and_the_textbook_form(self, size):
+        # objective, gradient and batch_grad work in the one array they make:
+        # x and the batch keep their bytes (read-only inputs too), results
+        # share memory with neither, and the bits are the plain expressions'.
+        quad = make_quadratic(7, target=np.linspace(-1.0, 2.0, 7), n_blocks=2,
+                              curvature=np.linspace(0.5, 3.0, 7))
+        inst = quad.instance()
+        rng = np.random.default_rng(size)
+        x, batch = rng.standard_normal(7), inst.sample_batch(rng, size)
+        x.flags.writeable = batch.flags.writeable = False
+        before = (x.tobytes(), batch.tobytes())
+        c, mu = quad.curvature, quad.target
+        offsets = x - mu
+        assert quad.objective(x) == 0.5 * float(np.einsum("i,i->", c, offsets * offsets)) \
+            + 0.5 * float(c.sum())
+        grad = quad.gradient(x)
+        assert grad.tobytes() == (c * (x - mu)).tobytes()
+        outs = [grad]
+        for sl, l in zip(inst.block_slices, range(2)):
+            g_l = inst.batch_grad(batch, x, l)
+            expected = c[sl] * (x[sl] - np.add.reduce(batch[:, sl], axis=0) / size)
+            assert g_l.tobytes() == expected.tobytes()
+            outs.append(g_l)
+        assert (x.tobytes(), batch.tobytes()) == before
+        assert not any(np.shares_memory(out, a) for out in outs for a in (x, batch))
+
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             make_quadratic(0)
