@@ -190,8 +190,8 @@ class TestProject:
 
     def test_box_centroid_is_the_three_where_form(self):
         # Finite pairs, one-sided and two-sided infinite bounds, pairs whose
-        # midpoint overflows to +-inf, and signed zeros, against the form
-        # the centroid had before it worked in one array.
+        # midpoint overflows to +-inf, and signed zeros, byte for byte
+        # against the three-np.where reference form.
         lo = np.array([-1.0, 2.0, -np.inf, -np.inf, 1e308, -1.5e308, -1e308, -0.0, -0.0, 0.0, 3.0])
         hi = np.array([3.0, np.inf, -4.0, np.inf, 1.5e308, -1e308, 1e308, 0.0, -0.0, 0.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"):

@@ -617,7 +617,7 @@ class TestQuadratic:
         grad = quad.gradient(x)
         assert grad.tobytes() == (c * (x - mu)).tobytes()
         outs = [grad]
-        for sl, l in zip(inst.block_slices, range(2)):
+        for l, sl in enumerate(inst.block_slices):
             g_l = inst.batch_grad(batch, x, l)
             expected = c[sl] * (x[sl] - np.add.reduce(batch[:, sl], axis=0) / size)
             assert g_l.tobytes() == expected.tobytes()
