@@ -97,8 +97,6 @@ def _parse_synthetic(args) -> tuple[ProblemInstance, dict]:
         if kind == "nonconvex-toy":
             return make_nonconvex_toy(sigma), extras
         dim = _spec_value(spec, entries, "dim", int)
-        if dim < 1:
-            raise UsageError(f"--synthetic: {spec}: dim must be positive")
         # All-ones target: the centroid start (zeros) is genuinely away from it.
         quad = make_quadratic(dim, noise_stddev=sigma, target=np.ones(dim),
                               n_blocks=min(args.blocks, dim))

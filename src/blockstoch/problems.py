@@ -44,7 +44,9 @@ def even_partition(n: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
 class SvmDataset:
     """Examples as CSR arrays: row i stores the features ``indices[indptr[i]:
     indptr[i + 1]]`` (0-based, strictly increasing, below ``num_features``)
-    with finite non-zero ``values`` there, and has the label ``labels[i]``, -1 or +1."""
+    with finite non-zero ``values`` there, and has the label ``labels[i]``, -1 or +1.
+    The dataset keeps the margins of the last point it was evaluated at, which
+    ``svm_objective``, ``svm_true_gradient`` and ``svm_accuracy`` share."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -84,6 +86,7 @@ class SvmDataset:
         reject(falls, "indices are not strictly increasing", idx)
         reject(~np.isfinite(val), "value is not finite", val)
         reject(val == 0.0, "stored zero value")
+        self._evaluated = (None, None)  # (bytes of a point, its margins)
 
     @property
     def m(self) -> int:
@@ -106,6 +109,16 @@ class SvmDataset:
         out = sparse.csc_matrix((self.num_features, self.m))
         out.data, out.indices, out.indptr = self.values, self.indices, self.indptr
         return out
+
+    def _margins(self, w: Vector) -> Vector:
+        """y_i <x_i, w> for every example i: the SVM's one full-data product.  The
+        last point's margins are kept under its bytes, a value key, so a point
+        changed in place is recomputed.  The cache is one tuple, read and replaced
+        whole, so threads sharing it never mix key and value."""
+        key, margins = self._evaluated
+        if key != w.tobytes():
+            self._evaluated = key, margins = w.tobytes(), self.labels * (self.matrix @ w)
+        return margins
 
     @property
     def nnz(self) -> int:
@@ -135,30 +148,18 @@ def hinge_pass(ds: SvmDataset):
     return row_loop
 
 
-def _margins(w: Vector, ds: SvmDataset) -> Vector:
-    """y_i <x_i, w> for every example i: the one full-data product of the SVM."""
-    return ds.labels * (ds.matrix @ w)
-
-
-def _hinge_objective(w: Vector, margins: Vector, lam: float) -> float:
-    return 0.5 * lam * _dot(w, w) + float(np.maximum(0.0, 1.0 - margins).mean())
-
-
-def _hinge_gradient(w: Vector, margins: Vector, ds: SvmDataset, lam: float) -> Vector:
-    coeff = np.where(margins <= 1.0, ds.labels, 0.0)
-    return lam * w - (ds.matrix_t @ coeff) / ds.m
-
-
 def svm_objective(w, ds: SvmDataset, lam: float) -> float:
     """Regularized mean hinge loss (lam/2)||w||^2 + mean_i max(0, 1 - y_i <x_i, w>)."""
     w = np.asarray(w, dtype=np.float64)
-    return _hinge_objective(w, _margins(w, ds), lam)
+    hinge = np.maximum(0.0, 1.0 - ds._margins(w))
+    return 0.5 * lam * _dot(w, w) + float(hinge.mean())
 
 
 def svm_true_gradient(w, ds: SvmDataset, lam: float) -> Vector:
     """Full-dataset (sub)gradient of svm_objective; active side at the kink."""
     w = np.asarray(w, dtype=np.float64)
-    return _hinge_gradient(w, _margins(w, ds), ds, lam)
+    coeff = np.where(ds._margins(w) <= 1.0, ds.labels, 0.0)
+    return lam * w - (ds.matrix_t @ coeff) / ds.m
 
 
 def svm_accuracy(w, ds: SvmDataset) -> float:
@@ -166,7 +167,7 @@ def svm_accuracy(w, ds: SvmDataset) -> float:
 
     A zero inner product counts as misclassified.
     """
-    return float(np.mean(_margins(np.asarray(w, dtype=np.float64), ds) > 0.0))
+    return float(np.mean(ds._margins(np.asarray(w, dtype=np.float64)) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,15 @@ class SvmProblem:
         for it.  ``batch_grad`` computes the joint batch-mean gradient once per pair of
         ``batch`` and ``x`` objects (``is``) and returns read-only views of it, so no
         write can corrupt another block's hit; a caller that changes either in place
-        between block calls must pass new objects.  ``true_objective`` and
-        ``true_gradient`` share one margin pass per point: the last point's margins are
-        kept under its bytes, a value key, so a point changed in place is recomputed.
-        Each memo is one tuple, read and replaced whole, so threads sharing it never mix
-        key and value."""
+        between block calls must pass new objects.  The memo is one tuple, read and
+        replaced whole, so threads sharing it never mix key and gradient.
+        ``true_objective`` and ``true_gradient`` are ``svm_objective`` and
+        ``svm_true_gradient``, so they share the dataset's margins of the last point."""
         ds, lam, ranges = self.dataset, self.lam, self.block_ranges
         ds.matrix  # else the first full-data product imports scipy inside a timed run
         m = ds.m
         hinge = hinge_pass(ds)
         memo = (None, None, None)  # (batch, x, joint gradient)
-        evaluated = (None, None)  # (bytes of a point, its margins)
 
         def batch_grad(batch, x, l):
             nonlocal memo
@@ -229,21 +228,13 @@ class SvmProblem:
         def sample_batch(rng, size):
             return rng.integers(0, m, size=size)
 
-        def at(x):
-            nonlocal evaluated
-            w = np.asarray(x, dtype=np.float64)
-            key, margins = evaluated
-            if key != w.tobytes():
-                evaluated = key, margins = w.tobytes(), _margins(w, ds)
-            return w, margins
-
         blocks = tuple(BlockSpec(b - a, Unconstrained(b - a)) for a, b in ranges)
         return ProblemInstance(
             blocks=blocks,
             sample_batch=sample_batch,
             batch_grad=batch_grad,
-            true_objective=lambda x: _hinge_objective(*at(x), lam),
-            true_gradient=lambda x: _hinge_gradient(*at(x), ds, lam),
+            true_objective=lambda x: svm_objective(x, ds, lam),
+            true_gradient=lambda x: svm_true_gradient(x, ds, lam),
             x0=np.ones(ds.num_features),
         )
 

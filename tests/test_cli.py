@@ -160,6 +160,12 @@ BAD_VALUES = [
      (), "--synthetic: {file}: unreadable dim=four"),
     ("file-empty-sigma", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=\n",
      (), "--synthetic: {file}: unreadable sigma="),
+    ("spec-dim-0", ("run", "--method", "proposed"), "quad-d0", (),
+     "--synthetic: quad-d0: dim must be positive\n"),
+    ("file-dim-0", ("run", "--method", "proposed"), "kind=quadratic\ndim=0\nsigma=1\n", (),
+     "--synthetic: {file}: dim must be positive\n"),
+    ("file-dim-neg", ("run", "--method", "proposed"), "kind=quadratic\ndim=-3\nsigma=1\n", (),
+     "--synthetic: {file}: "),
 ]
 
 

@@ -76,6 +76,14 @@ def random_dataset(rng, m=40, n=12, density=0.6, empty_rows=()):
     return dense_dataset(rows, labels, "random")
 
 
+def uncached_bytes(function, w, ds, *args):
+    """The bytes of ``function(w, copy, *args)`` on a new dataset built from copies
+    of ``ds``'s arrays, so no margins that ``ds`` keeps can reach the result."""
+    copy = SvmDataset(ds.indptr.copy(), ds.indices.copy(), ds.values.copy(),
+                      ds.labels.copy(), ds.num_features)
+    return np.asarray(function(w, copy, *args)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Sparse data containers
 # ---------------------------------------------------------------------------
@@ -503,9 +511,9 @@ class TestSvmProblem:
         assert [g_l.tobytes() for g_l in blocks] == kept
 
     def test_true_oracles_equal_module_functions_at_interleaved_points(self):
-        # The instance's true_objective and true_gradient share one margin
-        # pass per point value; revisited points, equal copies and points
-        # asked in either order must give the module functions' bits.
+        # The instance's true_objective and true_gradient share the dataset's
+        # margins per point value; revisited points, equal copies and points
+        # asked in either order must give the bits of an uncached evaluation.
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, m=40, n=9, density=0.5)
         inst = SvmProblem.with_blocks(ds, 0.03, 3).instance()
@@ -517,8 +525,8 @@ class TestSvmProblem:
             w = points[i] if gradient_first else points[i].copy()
             calls = [(inst.true_objective, svm_objective), (inst.true_gradient, svm_true_gradient)]
             for oracle, module_function in calls[::-1] if gradient_first else calls:
-                got, want = oracle(w), module_function(w, ds, 0.03)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (i, oracle)
+                want = uncached_bytes(module_function, w, ds, 0.03)
+                assert np.asarray(oracle(w)).tobytes() == want, (i, oracle)
 
     def test_point_changed_in_place_is_evaluated_afresh(self):
         # The margins are kept under the point's bytes, not its identity:
@@ -531,8 +539,28 @@ class TestSvmProblem:
         inst.true_objective(x)
         x *= -1.0
         assert not np.array_equal(before, ds.labels * (ds.matrix @ x) <= 1.0)
-        assert inst.true_gradient(x).tobytes() == svm_true_gradient(x, ds, 0.03).tobytes()
-        assert inst.true_objective(x) == svm_objective(x, ds, 0.03)
+        assert inst.true_gradient(x).tobytes() == uncached_bytes(svm_true_gradient, x, ds, 0.03)
+        assert np.asarray(inst.true_objective(x)).tobytes() == \
+            uncached_bytes(svm_objective, x, ds, 0.03)
+
+    def test_margins_are_kept_per_dataset_not_per_lambda(self):
+        # Two problems over one dataset, with different lambdas, and
+        # svm_accuracy on it read one margin cache; in any interleaving over
+        # three points, each value must equal an uncached evaluation's bits.
+        rng = np.random.default_rng(16)
+        ds = random_dataset(rng, m=40, n=9, density=0.5)
+        points = [rng.standard_normal(9) for _ in range(3)]
+        assert len({uncached_bytes(svm_accuracy, w, ds) for w in points}) == 3
+        calls = [(lambda w: svm_accuracy(w, ds), svm_accuracy, ())]
+        for lam in (0.01, 0.1):
+            inst = SvmProblem.with_blocks(ds, lam, 3).instance()
+            calls += [(inst.true_objective, svm_objective, (lam,)),
+                      (inst.true_gradient, svm_true_gradient, (lam,))]
+        order = [(i, call) for i in range(3) for call in calls] * 2
+        for j in rng.permutation(len(order)):
+            i, (oracle, module_function, args) = order[j]
+            want = uncached_bytes(module_function, points[i], ds, *args)
+            assert np.asarray(oracle(points[i])).tobytes() == want, (i, module_function, args)
 
     def test_default_start_is_all_ones(self):
         ds, _ = make_separable_dataset(10, 6, seed=2)
