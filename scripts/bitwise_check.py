@@ -76,6 +76,10 @@ generator's CSR arrays are compared on rows of 500 entries, not only 7.
 ``io-write/parsed-sparse`` holds the bytes that ``write_libsvm`` writes for
 the subsampled parsed-sparse corpus, whose empty rows, dropped ``k:0``
 tokens and rows of varying length the dense ``cli-gen`` rows never have.
+Each ``avg-sca`` entry averages with exponent 0.8 under the schedule
+(0.51, 0.75, 5.0) and 1.0, the CLI's default, under ``Schedule()``:
+``run_averaged_sca`` refuses an exponent at or below the schedule's alpha
+exponent (0.9 there), as the CLI does.  ``avg-sca-pinned`` runs exponent 0.
 """
 
 import json
@@ -220,7 +224,8 @@ for name, problem, schedule, batch, iters in (
                        eval_every=1 if name == "svm-eval-every-1" else 100, seed=5)
     out[f"{name}/proposed"] = digest(*run(inst, config))
     out[f"{name}/adam"] = digest(*run_adam(inst, config))
-    out[f"{name}/avg-sca"] = digest(*run_averaged_sca(inst, config, 0.8))
+    rho_avg = 0.8 if schedule.alpha_exponent < 0.8 else 1.0
+    out[f"{name}/avg-sca"] = digest(*run_averaged_sca(inst, config, rho_avg))
     out[f"{name}/avg-sca-pinned"] = digest(*run_averaged_sca(inst, config, 0.0))
     if isinstance(problem, SvmProblem):
         out[f"{name}/pegasos"] = digest(*run_pegasos(problem, config))

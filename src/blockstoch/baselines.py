@@ -49,9 +49,9 @@ class AdamParams:
 
 
 def check_rho_avg(rho_avg: float, schedule) -> None:
-    """Reject an averaging exponent that does not exceed the schedule's
-    alpha exponent (the weight must vanish faster than the step size), or
-    is infinite (the weight would be 0 from iteration 2 on); 0 pins the weight."""
+    """The one rule for rho_avg: finite (inf zeroes the weight from k = 2 on) and
+    above the schedule's alpha exponent, so that the weight k^-rho_avg vanishes
+    faster than the step (Polyak & Juditsky, 1992), or 0, which pins the weight."""
     if rho_avg != 0.0 and not schedule.alpha_exponent < rho_avg < np.inf:
         raise ValueError(
             f"rho_avg={rho_avg} must be finite and exceed the schedule's alpha exponent "
@@ -193,12 +193,11 @@ def run_averaged_sca(problem: Union[ProblemInstance, SvmProblem], config: RunCon
 
     The inner iterate is exactly the proposed method's; the reported point
     is x_bar^k = (1 - rho_k) x_bar^{k-1} + rho_k x^k with rho_k = k^-rho_avg
-    (rho_1 = 1).  Trace metrics are evaluated at the averaged point.
-    rho_avg = 0 pins rho_k = 1 and reproduces the core iterate exactly; a
-    negative, infinite or NaN rho_avg raises ValueError before the run.
+    (rho_1 = 1).  Trace metrics are evaluated at the averaged point.  Before
+    the first draw, :func:`check_rho_avg` requires rho_avg finite and above the
+    alpha exponent, or 0, which pins rho_k = 1 and reproduces the core iterate.
     """
-    if not 0 <= rho_avg < np.inf:
-        raise ValueError(f"rho_avg={rho_avg} must be finite and >= 0")
+    check_rho_avg(rho_avg, config.schedule)
     inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     x_avg = inst.default_start()
     h = np.zeros(inst.dim)

@@ -253,7 +253,6 @@ def _run_methods(args, methods) -> tuple[list[dict], list]:
             "seed": config.seed,
             "iters": config.max_iters,
             "batch": config.batch_size,
-            "samples_per_iteration": config.batch_size,
             "eval_every": config.eval_every,
             "blocks": len(instance.blocks),
             "rho_omega": args.rho_omega,

@@ -151,10 +151,15 @@ class Box:
 
     def centroid(self) -> Vector:
         # Midpoint where both bounds are finite, else the finite bound, else 0.
+        # A finite pair whose sum overflows takes lo/2 + hi/2, which cannot;
+        # inf - inf is NaN only where both bounds are infinite, set to 0 last.
         lo, hi = self.lower, self.upper
         inf_lo, inf_hi = np.isinf(lo), np.isinf(hi)
-        mid = lo + hi
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = lo + hi
         mid /= 2.0
+        over = np.isinf(mid)
+        mid[over] = lo[over] / 2.0 + hi[over] / 2.0
         np.copyto(mid, lo, where=inf_hi)
         np.copyto(mid, hi, where=inf_lo)
         np.copyto(mid, 0.0, where=inf_lo & inf_hi)

@@ -1,6 +1,7 @@
 """Reference optimizers: Pegasos, Adam, and the averaged variant."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -237,13 +238,18 @@ class TestAveragedSca:
             if r.k >= 1000:
                 assert r.objective >= core_by_k[r.k]
 
-    @pytest.mark.parametrize("rho_avg", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("rho_avg", [np.nan, -1.0, np.inf, 0.5, 0.8, 0.9])
     def test_rejects_a_non_averaging_exponent(self, rho_avg):
-        # NaN would report a NaN point unchecked, -1 a growing weight and inf
-        # a point frozen at x^1.
-        quad = make_quadratic(4, target=np.ones(4), n_blocks=2)
-        with pytest.raises(ValueError, match=r"^rho_avg="):
-            run_averaged_sca(quad.instance(), RunConfig(max_iters=20, eval_every=10), rho_avg)
+        # NaN would report a NaN point unchecked, -1 a growing weight, inf a
+        # point frozen at x^1, and 0.5 to 0.9 a weight that does not vanish
+        # faster than Schedule()'s step k^-0.9.  Each is refused before the
+        # first draw, by the rule the CLI applies.
+        inst = make_quadratic(4, target=np.ones(4), n_blocks=2).instance()
+        draws = []
+        inst = replace(inst, sample_batch=lambda rng, size: draws.append(size))
+        with pytest.raises(ValueError, match=r"^rho_avg=.* alpha exponent 0\.9 "):
+            run_averaged_sca(inst, RunConfig(max_iters=20, eval_every=10), rho_avg)
+        assert draws == []
 
 
 class TestFullRuns:

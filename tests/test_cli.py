@@ -288,7 +288,6 @@ class TestRun:
                        "--iters", "20", "--eval-every", "10", "--outdir", str(outdir)) == 0
         manifest = read_manifest(outdir / "pegasos.manifest.txt")
         assert manifest["batch"] == batch
-        assert manifest["samples_per_iteration"] == batch
 
     def test_trace_reproducible_for_fixed_seed(self, svm_file, tmp_path):
         digests = []

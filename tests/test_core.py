@@ -190,17 +190,25 @@ class TestProject:
 
     def test_box_centroid_is_the_three_where_form(self):
         # Finite pairs, one-sided and two-sided infinite bounds, pairs whose
-        # midpoint overflows to +-inf, and signed zeros, byte for byte
-        # against the three-np.where reference form.
+        # sum overflows, and signed zeros, byte for byte against the
+        # three-np.where reference form wherever its midpoint is finite.  An
+        # overflowing pair takes the midpoint of its halves, inside the box,
+        # and no entry raises a floating-point warning.
         lo = np.array([-1.0, 2.0, -np.inf, -np.inf, 1e308, -1.5e308, -1e308, -0.0, -0.0, 0.0, 3.0])
         hi = np.array([3.0, np.inf, -4.0, np.inf, 1.5e308, -1e308, 1e308, 0.0, -0.0, 0.0, 3.0])
+        box = Box(lo, hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = box.centroid()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = Box(lo, hi).centroid()
-            ref = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2.0, 0.0)
+            mid = (lo + hi) / 2.0
+            mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)
+        ref = np.where(np.isfinite(lo) & np.isfinite(hi), mid, 0.0)
         ref = np.where(np.isfinite(lo) & ~np.isfinite(hi), lo, ref)
         ref = np.where(~np.isfinite(lo) & np.isfinite(hi), hi, ref)
         assert got.tobytes() == ref.tobytes()
-        assert got[4] == np.inf and got[5] == -np.inf and got[3] == 0.0
+        assert got[4] == 1.25e308 and got[5] == -1.25e308 and got[3] == 0.0
+        assert np.all((lo <= got) & (got <= hi))
         assert not np.signbit(got[7]) and np.signbit(got[8])
 
     def test_unconstrained_identity(self):
@@ -1011,14 +1019,14 @@ half = 15000  # d = 30000, above the 10^4 entries where OpenBLAS splits a dot
 inst = make_quadratic(2 * half, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 2 * half),
                       n_blocks=2, feasible_sets=[Box(-np.ones(half), np.ones(half)),
                                                  L2Ball(np.full(half, 0.01), 30.0)]).instance()
-config = RunConfig(max_iters=20, eval_every=5, seed=3)
-for x, trace in (run(inst, config), run_adam(inst, config), run_averaged_sca(inst, config, 0.8)):
+config = RunConfig(max_iters=20, eval_every=5, seed=3)  # avg-sca needs rho_avg > alpha's 0.9
+for x, trace in (run(inst, config), run_adam(inst, config), run_averaged_sca(inst, config, 1.0)):
     show(x, trace)
 svm = SvmProblem.with_blocks(load_libsvm(data), 1e-2, 3)
 inst = svm.instance()
 config = RunConfig(batch_size=2, max_iters=40, eval_every=20, seed=3)
 for x, trace in (run(inst, config), run_pegasos(svm, config), run_adam(inst, config),
-                 run_averaged_sca(inst, config, 0.8)):
+                 run_averaged_sca(inst, config, 1.0)):
     show(x, trace)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["compare", "--data", data, "--blocks", "3", "--batch", "2", "--iters", "40",
