@@ -32,20 +32,18 @@ from .core import (
 from .problems import SvmProblem, hinge_pass
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamParams:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr={self.lr}: must be positive and finite")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps={self.eps}: must be positive and finite")
 
 
 def check_rho_avg(rho_avg: float, schedule) -> None:
@@ -88,27 +86,27 @@ def pegasos_step(w, ex: tuple, lam: float, t: int) -> Vector:
 def _adam_update(w, g, m, v, t: int, params: AdamParams, out: Vector, tmp: Vector) -> Vector:
     """:func:`adam_step` with the textbook form's own ops (x*a == a*x exactly):
     m and v in place, w' into ``out`` (not w) with ``tmp`` as scratch; returns out."""
-    np.multiply(g, 1.0 - params.beta1, out=tmp)
-    m *= params.beta1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    m *= ADAM_BETA1
     m += tmp
-    np.multiply(g, 1.0 - params.beta2, out=tmp)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
     tmp *= g
-    v *= params.beta2
+    v *= ADAM_BETA2
     v += tmp
-    np.divide(m, 1.0 - params.beta1 ** t, out=out)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=out)
     out *= params.lr
-    np.divide(v, 1.0 - params.beta2 ** t, out=tmp)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += params.eps
+    tmp += ADAM_EPS
     out /= tmp
     return np.subtract(w, out, out=out)
 
 
 def adam_step(w, g, m, v, t: int, params: AdamParams = AdamParams()
               ) -> tuple[Vector, Vector, Vector]:
-    """One bias-corrected Adam update (Kingma & Ba, 2015); returns (w', m', v'),
-    all fresh arrays.  A zero gradient with zero moments leaves w unchanged
-    for every t.  :func:`run_adam` projects w' onto the feasible set."""
+    """One bias-corrected Adam update at Kingma & Ba's (2015) beta1, beta2 and eps,
+    the ADAM_* constants; returns (w', m', v'), all fresh arrays.  A zero gradient
+    with zero moments leaves w unchanged for every t; :func:`run_adam` projects w'."""
     if t < 1:
         raise ValueError("t must be >= 1")
     w = np.asarray(w, dtype=np.float64)

@@ -346,6 +346,7 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    config, adam = RunConfig(), AdamParams()
     g = p.add_argument_group("problem")
     g.add_argument("--data", metavar="PATH", help="LIBSVM training file")
     g.add_argument("--synthetic", metavar="SPEC",
@@ -366,19 +367,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
     r = p.add_argument_group("run")
     r.add_argument("--iters", type=int, default=10_000)
-    r.add_argument("--batch", type=int, default=1)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--eval-every", type=int, default=100)
-    r.add_argument("--term-eps", type=float, default=None,
+    r.add_argument("--batch", type=int, default=config.batch_size)
+    r.add_argument("--seed", type=int, default=config.seed)
+    r.add_argument("--eval-every", type=int, default=config.eval_every)
+    r.add_argument("--term-eps", type=float, default=config.term_eps,
                    help="stop any method once step_norm/alpha_k is at most this")
 
     s = p.add_argument_group("method parameters")
-    s.add_argument("--rho-omega", type=float, default=0.6)
-    s.add_argument("--rho-alpha", type=float, default=0.9)
-    s.add_argument("--alpha-scale", type=float, default=1.0)
+    s.add_argument("--rho-omega", type=float, default=config.schedule.omega_exponent)
+    s.add_argument("--rho-alpha", type=float, default=config.schedule.alpha_exponent)
+    s.add_argument("--alpha-scale", type=float, default=config.schedule.alpha_scale)
     s.add_argument("--rho-avg", type=float, default=1.0,
                    help="avg-sca averaging exponent: above --rho-alpha, or 0")
-    s.add_argument("--adam-lr", type=float, default=1e-3)
+    s.add_argument("--adam-lr", type=float, default=adam.lr)
 
     o = p.add_argument_group("output")
     o.add_argument("--outdir", default="runs")

@@ -127,7 +127,7 @@ class TestAdamStep:
         w = np.zeros(4)
         g = np.array([2.0, -0.5, 1e-3, -7.0])
         w2, _, _ = adam_step(w, g, np.zeros(4), np.zeros(4), 1, params)
-        expected = -params.lr * g / (np.abs(g) + params.eps)
+        expected = -params.lr * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(w2, expected, rtol=1e-12)
         assert np.all(np.abs(w2 + params.lr * np.sign(g)) <= 1e-5 * params.lr)
 
@@ -152,15 +152,6 @@ class TestAdamStep:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             AdamParams(lr=0.0)
-        with pytest.raises(ValueError):
-            AdamParams(beta1=1.0)
-        with pytest.raises(ValueError):
-            AdamParams(beta2=-0.1)
-        with pytest.raises(ValueError):
-            AdamParams(eps=0.0)
-        for eps in (np.inf, np.nan):
-            with pytest.raises(ValueError, match=r"^eps=.*positive and finite"):
-                AdamParams(eps=eps)
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan])
     def test_lr_must_be_finite(self, lr):
@@ -168,8 +159,7 @@ class TestAdamStep:
             AdamParams(lr=lr)
 
     @pytest.mark.parametrize("shared_moments", [False, True])
-    @pytest.mark.parametrize("params", [None, AdamParams(lr=0.03, beta1=0.8, beta2=0.99,
-                                                         eps=1e-6)])
+    @pytest.mark.parametrize("params", [None, AdamParams(lr=0.03)])
     @pytest.mark.parametrize("t", [1, 7, 1000])
     def test_pure_and_bitwise_the_textbook_form(self, t, params, shared_moments):
         # params None calls adam_step with its default AdamParams.
@@ -183,10 +173,10 @@ class TestAdamStep:
         p = AdamParams() if params is None else params
         w2, m2, v2 = adam_step(w, g, m, v, t, *(() if params is None else (params,)))
         assert [a.tobytes() for a in inputs] == before
-        m_ref = p.beta1 * m + (1 - p.beta1) * g
-        v_ref = p.beta2 * v + (1 - p.beta2) * g * g
-        w_ref = w - p.lr * (m_ref / (1 - p.beta1 ** t)) / (np.sqrt(v_ref / (1 - p.beta2 ** t))
-                                                           + p.eps)
+        b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's values, fixed in the library
+        m_ref = b1 * m + (1 - b1) * g
+        v_ref = b2 * v + (1 - b2) * g * g
+        w_ref = w - p.lr * (m_ref / (1 - b1 ** t)) / (np.sqrt(v_ref / (1 - b2 ** t)) + eps)
         assert (w2.tobytes(), m2.tobytes(), v2.tobytes()) == \
             (w_ref.tobytes(), m_ref.tobytes(), v_ref.tobytes())
         assert not any(np.shares_memory(out, a) for out in (w2, m2, v2) for a in inputs)

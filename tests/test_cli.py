@@ -8,7 +8,7 @@ import pytest
 import blockstoch.io
 from blockstoch.cli import METHODS, build_parser, main
 from blockstoch.io import read_manifest, read_trace, load_libsvm
-from blockstoch import SvmProblem, make_quadratic
+from blockstoch import AdamParams, RunConfig, Schedule, SvmProblem, make_quadratic
 
 
 PEGASOS_NEEDS_SVM = "error: pegasos needs an SVM problem (--data), not --synthetic\n"
@@ -146,6 +146,9 @@ BAD_VALUES = [
      "--rho-avg: rho_avg=inf "),
     ("compare-rho-avg-inf", ("compare",), "svm", ("--rho-avg", "inf"),
      "--rho-avg: rho_avg=inf "),
+    # The --rho-avg default 1.0 does not exceed an alpha exponent of 1.0.
+    ("compare-rho-alpha-1", ("compare",), "svm", ("--rho-alpha", "1.0"),
+     "--rho-avg: rho_avg=1.0 "),
     ("term-eps-inf", ("run", "--method", "proposed"), "quad-d4", ("--term-eps", "inf"),
      "--term-eps: term_eps=inf "),
     ("sigma-overflow", ("run", "--method", "proposed"), "quad-d4-s1e999", (),
@@ -367,6 +370,19 @@ class TestRun:
         monkeypatch.setenv("BLOCKSTOCH_OUTDIR", "elsewhere")
         args = build_parser().parse_args(["run", "--method", "proposed", "--synthetic", "noncvx"])
         assert args.outdir == "runs"
+
+    @pytest.mark.parametrize("command", [("run", "--method", "proposed"), ("compare",)])
+    def test_run_defaults_are_the_library_defaults(self, monkeypatch, command):
+        # A factory in place of the CLI's Schedule, as the benchmark's tracer
+        # installs: the defaults must be read from instances, not the class.
+        monkeypatch.setattr("blockstoch.cli.Schedule", lambda *a: Schedule(*a))
+        args = build_parser().parse_args([*command, "--synthetic", "noncvx"])
+        config, schedule = RunConfig(), Schedule()
+        assert (args.batch, args.seed, args.eval_every, args.term_eps) == \
+            (config.batch_size, config.seed, config.eval_every, config.term_eps)
+        assert (args.rho_omega, args.rho_alpha, args.alpha_scale) == \
+            (schedule.omega_exponent, schedule.alpha_exponent, schedule.alpha_scale)
+        assert args.adam_lr == AdamParams().lr
 
     def test_elapsed_zeroed_unless_requested(self, svm_file, tmp_path):
         plain = tmp_path / "plain"
