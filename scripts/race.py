@@ -57,8 +57,8 @@ SEEDS = (1, 2, 3)
 METHODS = {
     "proposed": lambda problem, config: run(problem.instance(), config),
     "pegasos": run_pegasos,
-    "adam": lambda problem, config: run_adam(problem, config, AdamParams(lr=1e-3)),
-    "avg-sca": lambda problem, config: run_averaged_sca(problem, config, rho_avg=1.0),
+    "adam": lambda problem, config: run_adam(problem.instance(), config, AdamParams(lr=1e-3)),
+    "avg-sca": lambda problem, config: run_averaged_sca(problem.instance(), config, rho_avg=1.0),
 }
 FIELDS = ("lam", "schedule", "batch", "iters", "method", "seed", "k", "samples", "wall_s",
           "objective")

@@ -11,15 +11,13 @@ from .core import (
     RunConfig,
     TraceRecord,
     Unconstrained,
-    UnsupportedOperationError,
     drive,
     explicit_weights,
     minimize_surrogate,
-    project,
     run,
     stationarity_residual,
 )
-from .schedules import Schedule, ScheduleError
+from .schedules import Schedule
 from .problems import (
     QuadraticProblem,
     SvmDataset,

@@ -15,7 +15,7 @@ steps on every sample it draws, and honours the same termination rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -73,8 +73,8 @@ def pegasos_step(w, ex: tuple, lam: float, t: int) -> Vector:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam={lam}: must be positive and finite")
     indices, values, label = ex
     w = np.asarray(w, dtype=np.float64)
     out = (1.0 - 1.0 / t) * w
@@ -154,7 +154,7 @@ def run_pegasos(problem: SvmProblem, config: RunConfig, sample_log: Optional[lis
     return drive(inst, config, w, step, sample_log=sample_log)
 
 
-def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
+def run_adam(inst: ProblemInstance, config: RunConfig,
              params: AdamParams = AdamParams(),
              sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
     """Adam on the batch-mean stochastic gradient; each step's point goes
@@ -166,7 +166,6 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     that overflows would freeze its coordinate.
     :func:`blockstoch.core._check_finite` checks all three with the one
     product w . v."""
-    inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     w = inst.default_start()
     m, v, g = np.zeros(inst.dim), np.zeros(inst.dim), np.empty(inst.dim)
     spare, tmp = np.empty(inst.dim), np.empty(inst.dim)
@@ -183,7 +182,7 @@ def run_adam(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
     return drive(inst, config, w, step, sample_log=sample_log)
 
 
-def run_averaged_sca(problem: Union[ProblemInstance, SvmProblem], config: RunConfig,
+def run_averaged_sca(inst: ProblemInstance, config: RunConfig,
                      rho_avg: float = 1.0,
                      sample_log: Optional[list] = None) -> tuple[Vector, list[TraceRecord]]:
     """The core block update plus vanishing-weight iterate averaging
@@ -196,7 +195,6 @@ def run_averaged_sca(problem: Union[ProblemInstance, SvmProblem], config: RunCon
     alpha exponent, or 0, which pins rho_k = 1 and reproduces the core iterate.
     """
     check_rho_avg(rho_avg, config.schedule)
-    inst = problem.instance() if isinstance(problem, SvmProblem) else problem
     x_avg = inst.default_start()
     h = np.zeros(inst.dim)
     inner = block_step(inst, x_avg, h)

@@ -42,10 +42,6 @@ class NumericalFailureError(RuntimeError):
         self.block = block
 
 
-class UnsupportedOperationError(RuntimeError):
-    """The problem instance lacks an oracle this operation needs."""
-
-
 def _as_vector(v, name: str, dim: Optional[int] = None) -> Vector:
     """v as a 1-D float64 array, of length dim when dim is given."""
     out = np.asarray(v, dtype=np.float64)
@@ -203,17 +199,9 @@ class L2Ball:
         return self.center.copy()
 
 
+# Each set's project(p) is the Euclidean projection onto it: idempotent, and
+# the identity on feasible points.
 FeasibleSet = Union[Unconstrained, Box, L2Ball]
-
-
-def project(feasible_set: FeasibleSet, p) -> Vector:
-    """Euclidean projection of p onto the set.
-
-    Idempotent, and the identity on feasible points.  Closed forms:
-    Unconstrained -> copy of p; Box -> per-coordinate clamp; L2Ball ->
-    radial rescaling toward the center when outside.
-    """
-    return feasible_set.project(p)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +410,7 @@ def minimize_surrogate(x_prev_l, h_l, alpha_k: float, feasible_set: FeasibleSet)
     """Minimize the per-block proximal-quadratic surrogate over the set.
 
     The surrogate ||x - x_prev||^2 / (2 alpha) + <h, x - x_prev> has the
-    unique constrained minimizer project(set, x_prev - alpha * h), which is
+    unique constrained minimizer set.project(x_prev - alpha * h), which is
     what this returns.  The step obeys ||result - x_prev|| <= 2 alpha ||h||.
     """
     if not 0 < alpha_k < np.inf:
@@ -431,7 +419,7 @@ def minimize_surrogate(x_prev_l, h_l, alpha_k: float, feasible_set: FeasibleSet)
     h_l = _as_vector(h_l, "h_l")
     if x_prev_l.shape != h_l.shape:
         raise ValueError(f"layout mismatch: {x_prev_l.shape} vs {h_l.shape}")
-    return project(feasible_set, x_prev_l - alpha_k * h_l)
+    return feasible_set.project(x_prev_l - alpha_k * h_l)
 
 
 def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> float:
@@ -443,7 +431,7 @@ def stationarity_residual(problem: ProblemInstance, x, alpha_probe: float) -> fl
     if not 0 < alpha_probe < np.inf:
         raise ValueError(f"alpha_probe={alpha_probe} must be positive and finite")
     if problem.true_gradient is None:
-        raise UnsupportedOperationError("stationarity residual needs true_gradient")
+        raise ValueError("stationarity residual needs true_gradient")
     x = _as_vector(x, "x", problem.dim)
     g = np.asarray(problem.true_gradient(x), dtype=np.float64)
     moved = problem._project_in_place(x - alpha_probe * g)

@@ -12,17 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ScheduleError(ValueError):
-    """A step-size sequence violates one of the required conditions."""
-
-
 def _check_exponent(name: str, value: float) -> None:
     if not value > 0.5:
-        raise ScheduleError(
+        raise ValueError(
             f"{name}={value}: sum of squared step sizes diverges (need exponent > 0.5)"
         )
     if value > 1.0:
-        raise ScheduleError(
+        raise ValueError(
             f"{name}={value}: sum of step sizes converges (need exponent <= 1)"
         )
 
@@ -45,12 +41,12 @@ class Schedule:
         _check_exponent("omega_exponent", self.omega_exponent)
         _check_exponent("alpha_exponent", self.alpha_exponent)
         if self.alpha_exponent <= self.omega_exponent:
-            raise ScheduleError(
+            raise ValueError(
                 f"alpha_exponent={self.alpha_exponent} <= omega_exponent="
                 f"{self.omega_exponent}: alpha_k/omega_k does not vanish"
             )
         if not 0 < self.alpha_scale < float("inf"):
-            raise ScheduleError(f"alpha_scale={self.alpha_scale}: must be positive and finite")
+            raise ValueError(f"alpha_scale={self.alpha_scale}: must be positive and finite")
 
     def omega(self, k: int) -> float:
         if k < 1:

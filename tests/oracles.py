@@ -13,11 +13,6 @@ from blockstoch import Box, L2Ball, SvmDataset
 from blockstoch.io import ParseError
 
 
-def surrogate_value(q, x_prev, h, alpha):
-    d = q - x_prev
-    return float(d @ d) / (2.0 * alpha) + float(h @ d)
-
-
 def _axis_samples(lo, hi, resolution):
     # Uniform samples plus the exact endpoints (clamped optima sit there).
     count = int(np.floor((hi - lo) / resolution))

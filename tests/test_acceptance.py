@@ -25,7 +25,6 @@ from blockstoch import (
     make_separable_dataset,
     minimize_surrogate,
     pegasos_step,
-    project,
     run,
     run_averaged_sca,
     run_pegasos,
@@ -90,14 +89,14 @@ def test_criterion_02_surrogate_identity_and_grid_oracle():
         alpha = float(rng.uniform(0.01, 2))
         np.testing.assert_array_equal(
             minimize_surrogate(x, h, alpha, fs),
-            project(fs, x - alpha * h))
+            fs.project(x - alpha * h))
     for trial in range(50):
         if trial % 2 == 0:
             lo = rng.uniform(-0.6, 0.0, 2)
             fs = Box(lo, lo + rng.uniform(0.3, 1.0, 2))
         else:
             fs = L2Ball(rng.uniform(-0.3, 0.3, 2), float(rng.uniform(0.2, 0.5)))
-        x = project(fs, rng.standard_normal(2))
+        x = fs.project(rng.standard_normal(2))
         h = rng.standard_normal(2)
         alpha = float(rng.uniform(0.05, 0.8))
         got = minimize_surrogate(x, h, alpha, fs)
@@ -194,9 +193,9 @@ def test_criterion_07_svm_desk_scale_comparison():
     accuracies["proposed"] = svm_accuracy(x, ds)
     w, _ = run_pegasos(problem, config)
     accuracies["pegasos"] = svm_accuracy(w, ds)
-    w, _ = run_adam(problem, config, AdamParams())
+    w, _ = run_adam(problem.instance(), config, AdamParams())
     accuracies["adam"] = svm_accuracy(w, ds)
-    w, _ = run_averaged_sca(problem, config, rho_avg=0.8)
+    w, _ = run_averaged_sca(problem.instance(), config, rho_avg=0.8)
     accuracies["avg-sca"] = svm_accuracy(w, ds)
     assert all(a == 1.0 for a in accuracies.values()), accuracies
     assert time.perf_counter() - started < 120.0
@@ -216,7 +215,7 @@ def test_criterion_07_svm_desk_scale_comparison():
     config = _svm_race_config(seed=5, iters=10_000)
     x, trace_prop = run(cov.instance(), config)
     _, trace_peg = run_pegasos(cov, config)
-    _, trace_avg = run_averaged_sca(cov, config, rho_avg=0.8)
+    _, trace_avg = run_averaged_sca(cov.instance(), config, rho_avg=0.8)
     assert trace_prop[-1].objective <= trace_peg[-1].objective
     assert trace_prop[-1].objective <= trace_avg[-1].objective
     assert time.perf_counter() - started < 120.0

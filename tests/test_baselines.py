@@ -110,6 +110,10 @@ class TestPegasosStep:
             pegasos_step(np.zeros(1), ex, 0.1, t=0)
         with pytest.raises(ValueError):
             pegasos_step(np.zeros(1), ex, 0.0, t=1)
+        # SvmProblem's lam rule, message included.
+        for lam in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=rf"^lam={lam}: must be positive and finite$"):
+                pegasos_step(np.zeros(1), ex, lam, t=1)
 
 
 class TestAdamStep:
@@ -348,9 +352,9 @@ class TestFullRuns:
         logs["pegasos"] = []
         run_pegasos(problem, config, sample_log=logs["pegasos"])
         logs["adam"] = []
-        run_adam(problem, config, sample_log=logs["adam"])
+        run_adam(problem.instance(), config, sample_log=logs["adam"])
         logs["avg-sca"] = []
-        run_averaged_sca(problem, config, sample_log=logs["avg-sca"])
+        run_averaged_sca(problem.instance(), config, sample_log=logs["avg-sca"])
         reference = [b.tolist() for b in logs["proposed"]]
         assert len(reference) == 100
         for name, log in logs.items():
@@ -395,7 +399,7 @@ def test_cov_shaped_race_twin_of_criterion_7():
                        eval_every=10_000, seed=5, batch_size=1)
     proposed = run(problem.instance(), config)[1][-1].objective
     pegasos = run_pegasos(problem, config)[1][-1].objective
-    averaged = run_averaged_sca(problem, config, rho_avg=0.8)[1][-1].objective
+    averaged = run_averaged_sca(problem.instance(), config, rho_avg=0.8)[1][-1].objective
     print(f"proposed {proposed!r}, pegasos {pegasos!r} "
           f"({pegasos / proposed - 1.0:+.4%}), avg-sca {averaged!r} "
           f"({averaged / proposed - 1.0:+.4%})")

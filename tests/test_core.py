@@ -21,12 +21,10 @@ from blockstoch import (
     SvmDataset,
     SvmProblem,
     Unconstrained,
-    UnsupportedOperationError,
     explicit_weights,
     make_quadratic,
     make_separable_dataset,
     minimize_surrogate,
-    project,
     run,
     run_adam,
     run_averaged_sca,
@@ -137,11 +135,11 @@ class TestExplicitWeights:
 class TestProject:
     def test_box_feasible_point_unchanged(self):
         box = Box([-1.0, -1.0], [1.0, 1.0])
-        np.testing.assert_array_equal(project(box, [0.5, 0.5]), [0.5, 0.5])
+        np.testing.assert_array_equal(box.project([0.5, 0.5]), [0.5, 0.5])
 
     def test_box_clamps(self):
         box = Box([-1.0, -1.0], [1.0, 1.0])
-        np.testing.assert_array_equal(project(box, [3.0, -2.0]), [1.0, -1.0])
+        np.testing.assert_array_equal(box.project([3.0, -2.0]), [1.0, -1.0])
 
     def test_box_nan_and_signed_zeros(self):
         # Pins today's np.clip results, which np.minimum(np.maximum(p, lo), hi)
@@ -156,7 +154,7 @@ class TestProject:
 
     def test_ball_radial_scaling(self):
         ball = L2Ball([0.0, 0.0], 1.0)
-        np.testing.assert_allclose(project(ball, [3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_allclose(ball.project([3.0, 4.0]), [0.6, 0.8])
 
     @pytest.mark.parametrize("point, expected", [
         ([1e200, 0.0], [1.0, 0.0]),
@@ -172,7 +170,7 @@ class TestProject:
         # is 0) and an infinite entry to NaN, with a RuntimeWarning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = project(L2Ball([0.0, 0.0], 1.0), point)
+            got = L2Ball([0.0, 0.0], 1.0).project(point)
         np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("point", [[3.0, 4.0, 12.0], [1e200, 0.0, 0.0], [0.0, np.inf, 0.0]],
@@ -214,7 +212,7 @@ class TestProject:
     def test_unconstrained_identity(self):
         free = Unconstrained(3)
         p = np.array([5.0, -2.0, 0.0])
-        np.testing.assert_array_equal(project(free, p), p)
+        np.testing.assert_array_equal(free.project(p), p)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -225,14 +223,14 @@ class TestProject:
         for s in exact_sets:
             for _ in range(25):
                 p = 3.0 * rng.standard_normal(4)
-                once = project(s, p)
-                np.testing.assert_array_equal(project(s, once), once)
+                once = s.project(p)
+                np.testing.assert_array_equal(s.project(once), once)
         # The radial rescale can drift a boundary point by one ulp.
         ball = L2Ball(rng.standard_normal(4), 1.5)
         for _ in range(25):
             p = 3.0 * rng.standard_normal(4)
-            once = project(ball, p)
-            np.testing.assert_allclose(project(ball, once), once, rtol=1e-15, atol=1e-15)
+            once = ball.project(p)
+            np.testing.assert_allclose(ball.project(once), once, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("read_only", [False, True])
     def test_joint_projection_is_pure(self, read_only):
@@ -255,9 +253,9 @@ class TestProject:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            project(Box([0.0], [1.0]), [0.5, 0.5])
+            Box([0.0], [1.0]).project([0.5, 0.5])
         with pytest.raises(ValueError):
-            project(L2Ball([0.0, 0.0], 1.0), [0.5])
+            L2Ball([0.0, 0.0], 1.0).project([0.5])
 
     def test_box_validation(self):
         with pytest.raises(ValueError):
@@ -273,9 +271,9 @@ class TestProject:
 
     def test_box_with_infinite_bounds(self):
         half = Box([1.0, 1.0], [np.inf, np.inf])
-        np.testing.assert_array_equal(project(half, [0.0, 5.0]), [1.0, 5.0])
+        np.testing.assert_array_equal(half.project([0.0, 5.0]), [1.0, 5.0])
         whole = Box([-np.inf], [np.inf])
-        np.testing.assert_array_equal(project(whole, [5.0]), [5.0])
+        np.testing.assert_array_equal(whole.project([5.0]), [5.0])
 
     def test_box_rejects_nan_bounds(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -345,7 +343,7 @@ class TestMinimizeSurrogate:
             h = rng.standard_normal(d)
             alpha = float(rng.uniform(0.01, 2))
             got = minimize_surrogate(x, h, alpha, fs)
-            want = project(fs, x - alpha * h)
+            want = fs.project(x - alpha * h)
             np.testing.assert_array_equal(got, want)
 
     def test_step_bound(self):
@@ -353,7 +351,7 @@ class TestMinimizeSurrogate:
         for _ in range(200):
             lo = rng.uniform(-2, 0, 3)
             fs = Box(lo, lo + rng.uniform(0.5, 2, 3))
-            x = project(fs, rng.standard_normal(3))
+            x = fs.project(rng.standard_normal(3))
             h = 2 * rng.standard_normal(3)
             alpha = float(rng.uniform(0.01, 1))
             out = minimize_surrogate(x, h, alpha, fs)
@@ -367,7 +365,7 @@ class TestMinimizeSurrogate:
                 fs = Box(lo, lo + rng.uniform(0.3, 1.0, 2))
             else:
                 fs = L2Ball(rng.uniform(-0.3, 0.3, 2), float(rng.uniform(0.2, 0.5)))
-            x = project(fs, rng.standard_normal(2))
+            x = fs.project(rng.standard_normal(2))
             h = rng.standard_normal(2)
             alpha = float(rng.uniform(0.05, 0.8))
             got = minimize_surrogate(x, h, alpha, fs)
@@ -385,7 +383,7 @@ TAU = 2.0
 def sca_step(feasible_set, x_prev, h, alpha):
     """x_hat = P(x - h / (2 tau)), then x + gamma (x_hat - x) with the
     gamma = 2 tau alpha at which the two forms agree when unconstrained."""
-    x_hat = project(feasible_set, x_prev - h / (2.0 * TAU))
+    x_hat = feasible_set.project(x_prev - h / (2.0 * TAU))
     return x_prev + 2.0 * TAU * alpha * (x_hat - x_prev)
 
 
@@ -476,7 +474,7 @@ class TestStationarityResidual:
             sample_batch=lambda rng, size: np.zeros(size),
             batch_grad=lambda batch, x, l: np.zeros(1),
         )
-        with pytest.raises(UnsupportedOperationError):
+        with pytest.raises(ValueError):
             stationarity_residual(inst, np.zeros(1), 1e-3)
 
     @pytest.mark.parametrize("alpha_probe", [0.0, -1.0, np.inf, np.nan])
@@ -595,7 +593,7 @@ class TestRun:
         def check(info):
             for spec, sl in zip(inst.blocks, inst.block_slices):
                 x_l = info.x[sl]
-                assert np.linalg.norm(x_l - project(spec.feasible_set, x_l)) <= 1e-9
+                assert np.linalg.norm(x_l - spec.feasible_set.project(x_l)) <= 1e-9
             seen.append(info.k)
 
         run(inst, RunConfig(max_iters=300, eval_every=100, seed=1),
@@ -1166,3 +1164,49 @@ class TestBlockSpec:
                 sample_batch=lambda rng, size: np.zeros(size),
                 batch_grad=lambda batch, x, l: np.zeros(1),
             )
+
+
+def test_public_names():
+    # One spelling per public operation: adding or removing an export is a
+    # one-line diff here.  The submodules appear because __init__ imports them.
+    import blockstoch
+    assert set(blockstoch.__all__) == {
+        "AdamParams",
+        "BlockSpec",
+        "Box",
+        "FeasibleSet",
+        "IterationInfo",
+        "L2Ball",
+        "NumericalFailureError",
+        "ProblemInstance",
+        "QuadraticProblem",
+        "RunConfig",
+        "Schedule",
+        "SvmDataset",
+        "SvmProblem",
+        "TraceRecord",
+        "Unconstrained",
+        "adam_step",
+        "averaging_weight",
+        "baselines",
+        "check_rho_avg",
+        "core",
+        "drive",
+        "even_partition",
+        "explicit_weights",
+        "make_nonconvex_toy",
+        "make_quadratic",
+        "make_separable_dataset",
+        "minimize_surrogate",
+        "pegasos_step",
+        "problems",
+        "run",
+        "run_adam",
+        "run_averaged_sca",
+        "run_pegasos",
+        "schedules",
+        "stationarity_residual",
+        "svm_accuracy",
+        "svm_objective",
+        "svm_true_gradient",
+    }

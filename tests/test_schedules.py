@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from blockstoch import Schedule, ScheduleError
+from blockstoch import Schedule
 
 
 class TestScheduleValues:
@@ -49,28 +49,28 @@ class TestScheduleValues:
 
 class TestScheduleValidation:
     def test_ratio_must_vanish(self):
-        with pytest.raises(ScheduleError, match="does not vanish"):
+        with pytest.raises(ValueError, match="does not vanish"):
             Schedule(0.9, 0.6)
-        with pytest.raises(ScheduleError, match="does not vanish"):
+        with pytest.raises(ValueError, match="does not vanish"):
             Schedule(0.8, 0.8)
 
     def test_square_sum_must_converge(self):
-        with pytest.raises(ScheduleError, match="squared"):
+        with pytest.raises(ValueError, match="squared"):
             Schedule(0.4, 0.9)
-        with pytest.raises(ScheduleError, match="squared"):
+        with pytest.raises(ValueError, match="squared"):
             Schedule(0.6, 0.5)
 
     def test_sum_must_diverge(self):
-        with pytest.raises(ScheduleError, match="converges"):
+        with pytest.raises(ValueError, match="converges"):
             Schedule(1.1, 1.2)
 
     def test_scale_positive(self):
-        with pytest.raises(ScheduleError, match="positive"):
+        with pytest.raises(ValueError, match="positive"):
             Schedule(alpha_scale=0.0)
 
     @pytest.mark.parametrize("scale", [np.inf, np.nan])
     def test_scale_finite(self, scale):
-        with pytest.raises(ScheduleError, match="alpha_scale=.*finite"):
+        with pytest.raises(ValueError, match="alpha_scale=.*finite"):
             Schedule(alpha_scale=scale)
 
     def test_fields_are_the_three_parameters(self):
