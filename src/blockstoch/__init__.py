@@ -1,5 +1,7 @@
 """Block-parallel stochastic optimization with gradient tracking."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BlockSpec,
     Box,
@@ -41,5 +43,6 @@ from .baselines import (
     run_pegasos,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()  # the API, not its submodules
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ the projection, there gamma_k shortens the projected move.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,8 +82,14 @@ def _row_dot(a: Vector, b: Vector) -> float:
 
 
 def _norm(v: Vector) -> float:
-    """||v||, the square root of :func:`_dot` (v, v)."""
-    return math.sqrt(_dot(v, v))
+    """||v||, the square root of :func:`_dot` (v, v), rescaled by the largest |entry| only
+    where that sum overflows on finite entries: every finite result is the plain one."""
+    norm = math.sqrt(_dot(v, v))
+    if norm == math.inf:  # an infinite entry keeps inf, and a NaN never gets here
+        scale = float(np.abs(v).max())
+        if scale < math.inf:
+            norm = scale * _norm(v / scale)
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +194,12 @@ class L2Ball:
         dist = _norm(offset)
         if dist <= self.radius:
             return p.copy()
-        if not math.isfinite(dist):  # overflow or inf: scale by the largest entry
-            scale = float(np.abs(offset).max())  # or take inf signs; NaN stays NaN
+        factor = self.radius / dist
+        if factor < sys.float_info.min:  # dist inf, or over 2^1022 radii: direction first
+            scale = float(np.abs(offset).max())  # or the infinite entries' signs
             offset = np.sign(offset) * np.isinf(offset) if scale == math.inf else offset / scale
-            dist = _norm(offset)
-        offset *= self.radius / dist
+            factor = self.radius / _norm(offset)
+        offset *= factor
         offset += self.center
         return offset
 
@@ -253,7 +261,7 @@ class ProblemInstance:
     and the test suite checks it statistically.
 
     ``true_objective``/``true_gradient`` are optional exact oracles used
-    for trace metrics and verification; ``x0`` is an optional preferred
+    for trace metrics and verification; ``x0`` is every method's optional
     start point (:meth:`default_start`).  Every projection of a joint vector
     is one pass over :attr:`constrained_blocks` (:meth:`_project_in_place`).
     """
@@ -296,13 +304,12 @@ class ProblemInstance:
         """Project a joint vector onto the product of block sets, into a fresh array."""
         return self._project_in_place(_as_vector(x, "x", self.dim).copy())
 
-    def default_start(self, x0=None) -> Vector:
-        """Every method's start: ``x0``, else the instance's ``x0``, projected
-        and checked finite (ValueError); without either, the blocks' centroids."""
-        x0 = self.x0 if x0 is None else x0
-        if x0 is None:
+    def default_start(self) -> Vector:
+        """Every method's start: the instance's ``x0``, projected and checked
+        finite (ValueError); without it, the blocks' centroids."""
+        if self.x0 is None:
             return np.concatenate([b.feasible_set.centroid() for b in self.blocks])
-        x = self.project(x0)
+        x = self.project(self.x0)
         _require_finite(x, "projected x0")
         return x
 
@@ -495,18 +502,6 @@ def _check_finite(k: int, slices: tuple[slice, ...], g: Optional[Vector], x: Vec
                 raise NumericalFailureError(k, l, "second moment")
 
 
-def _step_norm(x: Vector, x_prev: Vector) -> float:
-    """||x - x_prev||, rescaled by the largest entry only where the plain
-    norm overflows on a finite step (so every finite result is the plain one)."""
-    d = x - x_prev
-    norm = _norm(d)
-    if not math.isfinite(norm):
-        scale = float(np.abs(d).max())
-        if 0.0 < scale < math.inf:
-            norm = scale * _norm(d / scale)
-    return norm
-
-
 def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
           h: Optional[Vector] = None, sample_log: Optional[list] = None,
           iteration_callback: Optional[Callable[[IterationInfo], None]] = None,
@@ -556,7 +551,7 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
 
         record = k % config.eval_every == 0 or k == config.max_iters
         if record or eps is not None:
-            step_norm = _step_norm(x, x_prev)
+            step_norm = _norm(x - x_prev)
             stopping = eps is not None and step_norm / alpha_k <= eps
             if record or stopping:
                 trace.append(_make_record(problem, k, x, h, step_norm, started_ns))
@@ -588,16 +583,16 @@ def block_step(problem: ProblemInstance, x: Vector, h: Vector) -> Step:
     return step
 
 
-def run(problem: ProblemInstance, config: RunConfig, x0=None,
+def run(problem: ProblemInstance, config: RunConfig,
         iteration_callback: Optional[Callable[[IterationInfo], None]] = None,
         sample_log: Optional[list] = None,
         ) -> tuple[Vector, list[TraceRecord]]:
     """Run the solver and return (final joint iterate, trace records).
 
     The :func:`block_step` update under :func:`drive`, from
-    ``problem.default_start(x0)``; the result is deterministic for a fixed seed.
+    ``problem.default_start()``; the result is deterministic for a fixed seed.
     """
-    x = problem.default_start(x0)
+    x = problem.default_start()
     h = np.zeros(problem.dim)
     return drive(problem, config, x, block_step(problem, x, h), h, sample_log,
                  iteration_callback)

@@ -8,6 +8,7 @@ notice when the files are absent.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_criterion_06_nonconvex_runs_reach_stationary_points():
         x0 = start_rng.uniform(-2.0, 2.0, size=2)
         config = RunConfig(max_iters=20_000, eval_every=20_000,
                            seed=1000 + trial, batch_size=64)
-        x, _ = run(inst, config, x0=x0)
+        x, _ = run(replace(inst, x0=x0), config)
         residuals.append(stationarity_residual(inst, x, 1e-3))
     worst = max(residuals)
     assert worst <= 1e-2

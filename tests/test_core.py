@@ -156,22 +156,27 @@ class TestProject:
         ball = L2Ball([0.0, 0.0], 1.0)
         np.testing.assert_allclose(ball.project([3.0, 4.0]), [0.6, 0.8])
 
-    @pytest.mark.parametrize("point, expected", [
-        ([1e200, 0.0], [1.0, 0.0]),
-        ([0.0, np.inf], [0.0, 1.0]),
-        ([-np.inf, np.inf], [-math.sqrt(0.5), math.sqrt(0.5)]),
-        ([-1e300, 1e300], [-math.sqrt(0.5), math.sqrt(0.5)]),
-        ([np.nan, 0.0], [np.nan, np.nan]),
-        ([np.nan, np.inf], [np.nan, np.nan]),
+    @pytest.mark.parametrize("point, expected, radius", [
+        ([1e200, 0.0], [1.0, 0.0], 1.0),
+        ([0.0, np.inf], [0.0, 1.0], 1.0),
+        ([-np.inf, np.inf], [-math.sqrt(0.5), math.sqrt(0.5)], 1.0),
+        ([-1e300, 1e300], [-math.sqrt(0.5), math.sqrt(0.5)], 1.0),
+        ([1.5e308, -1.5e308], [math.sqrt(0.5), -math.sqrt(0.5)], 1.0),
+        ([np.nan, 0.0], [np.nan, np.nan], 1.0),
+        ([np.nan, np.inf], [np.nan, np.nan], 1.0),
+        ([1e150, 0.0], [1.0, 0.0], 1e-200),
+        ([3e250, -4e250], [0.6, -0.8], 1e-100),
     ], ids=["overflowing-norm", "infinite-entry", "two-infinite-entries",
-            "two-overflowing-entries", "nan", "nan-and-inf"])
-    def test_ball_projects_far_points_along_their_direction(self, point, expected):
+            "two-overflowing-entries", "norm-past-largest-float", "nan", "nan-and-inf",
+            "tiny-radius", "tiny-radius-overflowing-norm"])
+    def test_ball_projects_far_points_along_their_direction(self, point, expected, radius):
         # The plain radial scaling sent [1e200, 0] to the centre (radius / inf
-        # is 0) and an infinite entry to NaN, with a RuntimeWarning.
+        # is 0), an infinite entry to NaN with a RuntimeWarning, and a point
+        # 1e350 radii out to the centre (radius / dist underflows to 0).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = L2Ball([0.0, 0.0], 1.0).project(point)
-        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+            got = L2Ball([0.0, 0.0], radius).project(point)
+        np.testing.assert_allclose(got, radius * np.array(expected), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("point", [[3.0, 4.0, 12.0], [1e200, 0.0, 0.0], [0.0, np.inf, 0.0]],
                              ids=["outside", "overflowing-norm", "infinite-entry"])
@@ -418,8 +423,8 @@ class TestScaForm:
             assert (info.alpha, info.h.tolist(), info.x.tolist()) == (0.2, [-4.5], [1.0])
             seen.append(sca_step(box, info.x_prev, info.h, info.alpha))
 
-        run(quad.instance(), RunConfig(schedule=self.SCHEDULE, max_iters=1, eval_every=1),
-            x0=np.array([0.5]), iteration_callback=check)
+        run(replace(quad.instance(), x0=np.array([0.5])),
+            RunConfig(schedule=self.SCHEDULE, max_iters=1, eval_every=1), iteration_callback=check)
         np.testing.assert_allclose(seen, [[0.9]], rtol=1e-15)
 
     def test_run_takes_the_surrogate_minimizer_of_every_block(self):
@@ -524,20 +529,39 @@ class TestRun:
     def test_scalar_problem_converges(self):
         problem = scalar_tracking_problem()
         config = RunConfig(max_iters=10_000, eval_every=1000, seed=42)
-        x, trace = run(problem.instance(), config, x0=np.array([5.0]))
+        x, trace = run(replace(problem.instance(), x0=np.array([5.0])), config)
         assert abs(x[0]) <= 0.1
         assert [r.k for r in trace] == list(range(1000, 10_001, 1000))
 
     def test_zero_iterations(self):
         problem = scalar_tracking_problem()
-        x, trace = run(problem.instance(), RunConfig(max_iters=0), x0=np.array([2.0]))
+        x, trace = run(replace(problem.instance(), x0=np.array([2.0])), RunConfig(max_iters=0))
         np.testing.assert_array_equal(x, [2.0])
         assert trace == []
 
     def test_infeasible_start_projected(self):
         problem = scalar_tracking_problem()
-        x, trace = run(problem.instance(), RunConfig(max_iters=0), x0=np.array([42.0]))
+        x, trace = run(replace(problem.instance(), x0=np.array([42.0])), RunConfig(max_iters=0))
         np.testing.assert_array_equal(x, [10.0])
+
+    def test_every_method_starts_from_the_instances_projected_x0(self):
+        # One start for every method: replace(inst, x0=p) sets it, and no
+        # iteration moves it.  Pegasos takes the instance through inst=.
+        p = np.array([3.0, -0.5, 3.0, 4.0])
+        sets = [Box(-np.ones(2), np.ones(2)), L2Ball(np.zeros(2), 1.0)]
+        quad = replace(make_quadratic(4, n_blocks=2, feasible_sets=sets).instance(), x0=p)
+        problem = SvmProblem.with_blocks(make_separable_dataset(10, 4, seed=1)[0], 0.1, 2)
+        svm = replace(problem.instance(), x0=p)
+        np.testing.assert_allclose(quad.project(p), [1.0, -0.5, 0.6, 0.8], rtol=1e-15)
+        config = RunConfig(max_iters=0)
+        starts = {
+            "proposed": (quad, run(quad, config)[0]),
+            "adam": (quad, run_adam(quad, config)[0]),
+            "avg-sca": (quad, run_averaged_sca(quad, config)[0]),
+            "pegasos": (svm, run_pegasos(problem, config, inst=svm)[0]),
+        }
+        for name, (inst, x) in starts.items():
+            np.testing.assert_array_equal(x, inst.project(p), err_msg=name)
 
     def test_step_projects_only_constrained_blocks(self, monkeypatch):
         calls = count_projections(monkeypatch)
@@ -650,7 +674,7 @@ class TestRun:
     def test_step_norm_termination(self):
         quad = make_quadratic(2, noise_stddev=0.0, target=[1.0, 1.0])
         config = RunConfig(max_iters=100_000, eval_every=1000, seed=0, term_eps=1e-6)
-        x, trace = run(quad.instance(), config, x0=np.array([2.0, 2.0]))
+        x, trace = run(replace(quad.instance(), x0=np.array([2.0, 2.0])), config)
         assert trace[-1].k < 100_000
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-4)
 
@@ -904,7 +928,6 @@ def two_coordinate_problem(grad):
 
 
 class TestOverflow:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_step_norm_of_huge_finite_step_is_finite(self):
         steps = {}
 
@@ -924,12 +947,26 @@ class TestOverflow:
             x, x_prev = scale * rng.standard_normal(7), scale * rng.standard_normal(7)
             d = x - x_prev
             # The plain norm is the square root of the engine's one-thread sum.
-            assert core._step_norm(x, x_prev) == math.sqrt(core._dot(d, d))
-            assert core._step_norm(x, x_prev) == pytest.approx(float(np.linalg.norm(d)),
-                                                               rel=1e-15)
-        nan = np.array([np.nan, 1.0])
-        assert math.isnan(core._step_norm(nan, np.zeros(2)))
-        assert core._step_norm(np.array([np.inf, 1.0]), np.zeros(2)) == math.inf
+            assert core._norm(x - x_prev) == math.sqrt(core._dot(d, d))
+            assert core._norm(x - x_prev) == pytest.approx(float(np.linalg.norm(d)), rel=1e-15)
+        assert math.isnan(core._norm(np.array([np.nan, 1.0])))
+        assert core._norm(np.array([np.inf, 1.0])) == math.inf
+
+    def test_tracker_error_and_residual_of_huge_finite_gradient_are_finite(self):
+        # Every reported norm follows step_norm's rule: h - grad F and the
+        # projected-gradient gap overflow the plain sum of squares here.
+        inst = ProblemInstance(
+            blocks=(BlockSpec(2, Unconstrained(2)),),
+            sample_batch=lambda rng, size: np.zeros(size),
+            batch_grad=lambda batch, x, l: np.zeros(2),
+            true_gradient=lambda x: np.array([1e200, 1e200]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = run(inst, RunConfig(max_iters=1, eval_every=1))
+            residual = stationarity_residual(inst, np.zeros(2), 1e-3)
+        assert trace[0].tracker_error == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert residual == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_adam_second_moment_overflow_is_located(self):
@@ -1168,7 +1205,7 @@ class TestBlockSpec:
 
 def test_public_names():
     # One spelling per public operation: adding or removing an export is a
-    # one-line diff here.  The submodules appear because __init__ imports them.
+    # one-line diff here.
     import blockstoch
     assert set(blockstoch.__all__) == {
         "AdamParams",
@@ -1188,9 +1225,7 @@ def test_public_names():
         "Unconstrained",
         "adam_step",
         "averaging_weight",
-        "baselines",
         "check_rho_avg",
-        "core",
         "drive",
         "even_partition",
         "explicit_weights",
@@ -1199,12 +1234,10 @@ def test_public_names():
         "make_separable_dataset",
         "minimize_surrogate",
         "pegasos_step",
-        "problems",
         "run",
         "run_adam",
         "run_averaged_sca",
         "run_pegasos",
-        "schedules",
         "stationarity_residual",
         "svm_accuracy",
         "svm_objective",

@@ -675,14 +675,14 @@ class TestQuadratic:
          r"curvature entry 1 is not finite \(nan\)"),
         (lambda: make_quadratic(2, curvature=[np.inf, 1.0]),
          r"curvature entry 0 is not finite \(inf\)"),
-        (lambda: run(make_quadratic(2).instance(), RunConfig(max_iters=1, eval_every=1),
-                     x0=[np.nan, 0.0]),
+        (lambda: run(replace(make_quadratic(2).instance(), x0=[np.nan, 0.0]),
+                     RunConfig(max_iters=1, eval_every=1)),
          r"projected x0 entry 0 is not finite \(nan\)"),
-        (lambda: run(make_quadratic(2).instance(), RunConfig(max_iters=1, eval_every=1),
-                     x0=[0.0, np.inf]),
+        (lambda: run(replace(make_quadratic(2).instance(), x0=[0.0, np.inf]),
+                     RunConfig(max_iters=1, eval_every=1)),
          r"projected x0 entry 1 is not finite \(inf\)"),
         # Every method starts through ProblemInstance.default_start, which
-        # checks the instance's own x0 as run checks a given one.
+        # checks the instance's x0, the one start of every method.
         (lambda: run(poisoned_start(make_quadratic(2).instance()),
                      RunConfig(max_iters=1, eval_every=1)),
          r"projected x0 entry 0 is not finite \(nan\)"),
