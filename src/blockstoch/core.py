@@ -5,7 +5,10 @@ mini-batch sample gradient into a running convex combination, then moves
 every block through a proximal step (projection of a scaled tracker step
 onto the block's feasible set).  Block updates within one iteration are
 mutually independent: each reads the previous iterate and writes only its
-own slice.  One step runs them as a single serial pass.
+own slice.  One step runs them as a single serial pass.  With
+``RunConfig.n_workers`` >= 2 and a batch too large for two to share a
+draw of ``DRAW_BYTES``, the next iteration's batch is drawn on one worker
+thread while the step runs.
 
 Per block the step is x_l <- P_l(x_l - alpha_k h_l), the minimizer of the
 surrogate <h_l, y - x_l> + ||y - x_l||^2 / (2 alpha_k) over the block's set.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Optional, Union
@@ -250,6 +254,9 @@ class ProblemInstance:
     realizations along axis 0, and one call for ``n * size`` must equal
     ``n`` calls for ``size``, stacked (:func:`drive` prefetches many
     batches in one call and hands each iteration its rows, a view).
+    ``sample_batch`` may run on a worker thread while ``batch_grad`` runs
+    on the caller's, but never two calls at once; a run may take one draw
+    that it never uses, when it stops on ``term_eps`` or on an error.
     ``batch_grad(batch, x, l)`` returns the batch-mean cost gradient over
     block ``l`` at the joint point ``x``, a numpy array of shape
     ``(block dim,)``, which may be read-only.  Block calls on one pair of
@@ -338,8 +345,11 @@ class ProblemInstance:
 class RunConfig:
     """Settings of one run.  With ``term_eps`` set, a run also stops once
     ||x^k - x^{k-1}|| / alpha_k <= term_eps; without it, at ``max_iters``
-    only.  ``n_workers`` is kept for callers that set it and must be >= 1,
-    but selects nothing: every run is serial."""
+    only.  ``n_workers`` (>= 1) is the number of threads a run may use.
+    The step is always one serial pass; at 2 or more, where each draw
+    holds one batch (:func:`drive`), the next batch is drawn on one worker
+    thread while the step runs.  The draws, and so every result, are the
+    same at any count."""
 
     schedule: Schedule = field(default_factory=Schedule)
     batch_size: int = 1
@@ -522,41 +532,57 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
     draws: the first call draws one batch, whose size fixes how many the
     later calls draw (never more than the iterations left), and iteration
     k takes its ``batch_size`` rows in order.  By the sampling contract
-    this is the stream of one call per iteration.
+    this is the stream of one call per iteration.  Where each call draws
+    one batch (it holds over half of ``DRAW_BYTES``) and
+    ``config.n_workers`` > 1, each later call runs on one worker thread,
+    started for the run and joined before it returns, while the previous
+    iteration's step runs: the same calls in the same order, one in flight
+    at a time, and a call's error is raised at the iteration that needs
+    its batch.
     """
     rng, schedule = np.random.default_rng(config.seed), config.schedule
     eps = config.term_eps
     trace: list[TraceRecord] = []
     size, per_draw, draws, offset = config.batch_size, 1, (), 0
+    pool, pending = None, None
     started_ns = time.perf_counter_ns()
-    for k in range(1, config.max_iters + 1):
-        omega_k = schedule.omega(k)
-        alpha_k = schedule.alpha(k)
-        if offset == len(draws):
-            n = min(per_draw, config.max_iters + 1 - k) * size
-            draws, offset = problem.sample_batch(rng, n), 0
-            if len(draws) != n:
-                raise ValueError(f"sample_batch(rng, {n}) returned {len(draws)} realizations")
-            if k == 1:
-                per_draw = max(1, DRAW_BYTES // max(1, draws.nbytes))
-        batch = draws[offset:offset + size]
-        offset += size
-        if sample_log is not None and len(sample_log) < 100:
-            sample_log.append(batch.copy())
+    try:
+        for k in range(1, config.max_iters + 1):
+            omega_k = schedule.omega(k)
+            alpha_k = schedule.alpha(k)
+            if offset == len(draws):
+                n = min(per_draw, config.max_iters + 1 - k) * size
+                draws = problem.sample_batch(rng, n) if pending is None else pending.result()
+                offset = 0
+                if len(draws) != n:
+                    raise ValueError(f"sample_batch(rng, {n}) returned {len(draws)} realizations")
+                if k == 1:
+                    per_draw = max(1, DRAW_BYTES // max(1, draws.nbytes))
+                    if per_draw == 1 and config.n_workers > 1:
+                        pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at submit
+                if pool is not None and k < config.max_iters:  # n is one batch, as next time
+                    pending = pool.submit(problem.sample_batch, rng, n)
+            batch = draws[offset:offset + size]
+            offset += size
+            if sample_log is not None and len(sample_log) < 100:
+                sample_log.append(batch.copy())
 
-        x_prev = x
-        x = step(batch, k, omega_k, alpha_k)
-        if iteration_callback is not None:
-            iteration_callback(IterationInfo(k, omega_k, alpha_k, x, x_prev, h))
+            x_prev = x
+            x = step(batch, k, omega_k, alpha_k)
+            if iteration_callback is not None:
+                iteration_callback(IterationInfo(k, omega_k, alpha_k, x, x_prev, h))
 
-        record = k % config.eval_every == 0 or k == config.max_iters
-        if record or eps is not None:
-            step_norm = _norm(x - x_prev)
-            stopping = eps is not None and step_norm / alpha_k <= eps
-            if record or stopping:
-                trace.append(_make_record(problem, k, x, h, step_norm, started_ns))
-            if stopping:
-                break
+            record = k % config.eval_every == 0 or k == config.max_iters
+            if record or eps is not None:
+                step_norm = _norm(x - x_prev)
+                stopping = eps is not None and step_norm / alpha_k <= eps
+                if record or stopping:
+                    trace.append(_make_record(problem, k, x, h, step_norm, started_ns))
+                if stopping:
+                    break
+    finally:
+        if pool is not None:  # waits for a draw in flight; its result or error is dropped
+            pool.shutdown()
     return x, trace
 
 

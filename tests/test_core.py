@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -1091,39 +1093,124 @@ print(hashlib.sha256(make_separable_dataset(50, 30000, seed=2)[1].tobytes()).hex
         assert outputs[0] == outputs[1]
 
 
+def wide_quadratic():
+    """A Box/L2Ball quadratic whose one batch of 1 holds more than DRAW_BYTES."""
+    dim = core.DRAW_BYTES // 8 + 1
+    half = dim // 2
+    return make_quadratic(dim, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, dim),
+                          n_blocks=2, feasible_sets=[Box(-np.ones(half), np.ones(half)),
+                                                     L2Ball(np.zeros(dim - half), 50.0)])
+
+
 class TestDrawPrefetch:
     @staticmethod
     def counted(inst):
-        """The instance, and the list of sizes its sample_batch is asked for."""
-        sizes = []
+        """The instance, the list of sizes its sample_batch is asked for, and
+        per call whether it ran on the main thread.  A call made while
+        another is running fails."""
+        sizes, on_main, busy = [], [], threading.Lock()
 
         def sample_batch(rng, size):
-            sizes.append(size)
-            return inst.sample_batch(rng, size)
+            assert busy.acquire(blocking=False), "two sample_batch calls at once"
+            try:
+                sizes.append(size)
+                on_main.append(threading.current_thread() is threading.main_thread())
+                return inst.sample_batch(rng, size)
+            finally:
+                busy.release()
 
-        return replace(inst, sample_batch=sample_batch), sizes
+        return replace(inst, sample_batch=sample_batch), sizes, on_main
 
     def test_svm_run_draws_at_most_twice(self):
         ds, _ = make_separable_dataset(1000, 20, seed=3)
         problem = SvmProblem.with_blocks(ds, 1e-2, 4)
         config = RunConfig(schedule=Schedule(0.51, 0.75, 5.0), max_iters=1000, eval_every=20,
                            seed=5)
-        inst, sizes = self.counted(problem.instance())
-        x, trace = run(inst, config)
-        assert len(sizes) <= 2 and sum(sizes) == 1000
         x_ref, trace_ref = run(problem.instance(), config)
-        assert x.tobytes() == x_ref.tobytes()
-        assert records_without_time(trace) == records_without_time(trace_ref)
+        for n_workers in (1, 2):  # a batch far below DRAW_BYTES starts no worker
+            inst, sizes, on_main = self.counted(problem.instance())
+            x, trace = run(inst, replace(config, n_workers=n_workers))
+            assert len(sizes) <= 2 and sum(sizes) == 1000 and all(on_main)
+            assert x.tobytes() == x_ref.tobytes()
+            assert records_without_time(trace) == records_without_time(trace_ref)
 
     def test_batch_above_budget_draws_every_iteration(self):
         dim = core.DRAW_BYTES // 8 // 2 + 1
-        inst, sizes = self.counted(make_quadratic(dim, noise_stddev=1.0).instance())
+        inst, sizes, on_main = self.counted(make_quadratic(dim, noise_stddev=1.0).instance())
         run(inst, RunConfig(batch_size=2, max_iters=5, eval_every=5))
-        assert sizes == [2] * 5
+        assert sizes == [2] * 5 and all(on_main)
+
+    # term_eps 135 stops proposed at k = 4, adam at 1 and avg-sca at 2 of 6, each
+    # with the next draw in flight.
+    @pytest.mark.parametrize("term_eps", [None, 135.0])
+    @pytest.mark.parametrize("method", [run, run_adam, run_averaged_sca])
+    def test_worker_draws_keep_every_result(self, method, term_eps):
+        config = RunConfig(max_iters=6, eval_every=2, seed=4, term_eps=term_eps)
+        inst = wide_quadratic().instance()
+        results = []
+        for n_workers in (1, 2):
+            counted, sizes, on_main = self.counted(inst)
+            log = []
+            before, interval = threading.active_count(), sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+            try:
+                x, trace = method(counted, replace(config, n_workers=n_workers), sample_log=log)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == before
+            iters = trace[-1].k
+            assert (iters < 6) == (term_eps is not None)
+            assert len(log) == iters and sizes == [1] * len(sizes)
+            if n_workers == 1:
+                assert on_main == [True] * iters
+            else:  # every draw after the first on the worker; a stop leaves one unused
+                assert on_main == [True] + [False] * (iters - (term_eps is None))
+            results.append((x.tobytes(), records_without_time(trace),
+                            [batch.tobytes() for batch in log]))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_no_thread_outlives_a_run(self, n_workers):
+        config = RunConfig(max_iters=6, eval_every=6, n_workers=n_workers)
+        inst = wide_quadratic().instance()
+        before = threading.active_count()  # clean runs: test_worker_draws_keep_every_result
+        calls, ks = [], []
+
+        def failing_draw(rng, size):
+            calls.append(size)
+            if len(calls) == 3:
+                raise RuntimeError("third draw failed")
+            return inst.sample_batch(rng, size)
+
+        with pytest.raises(RuntimeError, match="^third draw failed$"):
+            run(replace(inst, sample_batch=failing_draw), config,
+                iteration_callback=lambda info: ks.append(info.k))
+        assert ks == [1, 2] and len(calls) == 3
+        assert threading.active_count() == before
+
+        finished, grads = [], []
+
+        def slow_draw(rng, size):  # the draw for k = 3 is still running when step 2 fails
+            z = inst.sample_batch(rng, size)
+            if len(finished) == 2:
+                time.sleep(0.05)
+            finished.append(size)
+            return z
+
+        def nan_at_k2(batch, x, l):  # two blocks: call 3 is block 0 of iteration 2
+            grads.append(l)
+            g = inst.batch_grad(batch, x, l)
+            return np.full_like(g, np.nan) if len(grads) >= 3 else g
+
+        failing = replace(inst, sample_batch=slow_draw, batch_grad=nan_at_k2)
+        with pytest.raises(NumericalFailureError, match="at iteration 2, block 0"):
+            run(failing, config)
+        assert len(finished) == (3 if n_workers > 1 else 2)
+        assert threading.active_count() == before
 
     def test_draw_sizes_fill_budget_and_stop_at_last_iteration(self):
         # A batch of 4 x 4096 float64 is DRAW_BYTES / 8, so eight batches a call.
-        inst, sizes = self.counted(make_quadratic(4096, noise_stddev=1.0).instance())
+        inst, sizes, _ = self.counted(make_quadratic(4096, noise_stddev=1.0).instance())
         run(inst, RunConfig(batch_size=4, max_iters=20, eval_every=10))
         assert sizes == [4, 32, 32, 12]
 
