@@ -58,13 +58,14 @@ its row margins are longer than ``blockstoch.core.ROW_BLAS_MAX`` and take
 ``_dot`` where a shorter row takes BLAS ddot.  ``svm-long-rows-b1`` runs
 the same at batch 1, the batch size at which mini-batch Pegasos takes
 exactly ``pegasos_step``'s single-row step, so Pegasos's long-row margins
-are compared there too.  ``quad-wide-workers`` (a Box/L2Ball quadratic
+are compared there too.  ``quad-draw-sized`` (a Box/L2Ball quadratic
 of ``DRAW_BYTES // 8 + 1`` entries at batch 1, 40 iterations) and
-``svm-workers`` (the svm-loop SVM at a batch of ``DRAW_BYTES // 16 + 1``
-row indices, 4 iterations) run at ``n_workers=2`` with a batch that fills
-a draw, every other entry at 1: a tree that draws each batch on a worker
-thread while the step runs is compared there with one that draws it on
-the calling thread, or with itself.  The
+``svm-draw-sized`` (the svm-loop SVM at a batch of ``DRAW_BYTES // 16 + 1``
+row indices, 10 iterations) are the entries whose batch fills a draw and
+whose runs are at least ``blockstoch.core.PREFETCH_MIN_ITERS`` long: on a
+machine with more than one usable CPU, a tree that draws each batch on a
+worker thread while the step runs is compared there with one that draws
+it on the calling thread, or with itself.  The
 ``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
@@ -130,10 +131,10 @@ refill = make_quadratic(4096, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 40
 per_coordinate = make_quadratic(9, noise_stddev=1.0, target=np.linspace(-3.0, 3.0, 9),
                                 n_blocks=9)
 dim = DRAW_BYTES // 8 + 1  # one batch of 1 fills a draw
-worker_wide = make_quadratic(dim, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, dim),
-                             n_blocks=2,
-                             feasible_sets=[Box(-np.ones(dim // 2), np.ones(dim // 2)),
-                                            L2Ball(np.full(dim - dim // 2, 0.01), 50.0)])
+draw_sized = make_quadratic(dim, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, dim),
+                            n_blocks=2,
+                            feasible_sets=[Box(-np.ones(dim // 2), np.ones(dim // 2)),
+                                           L2Ball(np.full(dim - dim // 2, 0.01), 50.0)])
 wide = make_quadratic(20000, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 20000),
                       n_blocks=2, feasible_sets=[Box(-np.ones(10000), np.ones(10000)),
                                                  L2Ball(np.full(10000, 0.01), 30.0)])
@@ -231,13 +232,12 @@ for name, problem, schedule, batch, iters in (
         ("cov-per-feature-b8", cov_per_feature, Schedule(0.51, 0.75, 5.0), 8, 2000),
         ("quad-per-coordinate-b8", per_coordinate, Schedule(), 8, 500),
         ("quad-per-coordinate-b64", per_coordinate, Schedule(), 64, 500),
-        ("quad-wide-workers", worker_wide, Schedule(), 1, 40),
-        ("svm-workers", svm, Schedule(0.51, 0.75, 5.0), DRAW_BYTES // 16 + 1, 4)):
+        ("quad-draw-sized", draw_sized, Schedule(), 1, 40),
+        ("svm-draw-sized", svm, Schedule(0.51, 0.75, 5.0), DRAW_BYTES // 16 + 1, 10)):
     inst = problem.instance()
     config = RunConfig(schedule=schedule, batch_size=batch, max_iters=iters,
-                       eval_every={"svm-eval-every-1": 1, "quad-wide-workers": 10,
-                                   "svm-workers": 2}.get(name, 100),
-                       seed=5, n_workers=2 if name.endswith("-workers") else 1)
+                       eval_every={"svm-eval-every-1": 1, "quad-draw-sized": 10,
+                                   "svm-draw-sized": 2}.get(name, 100), seed=5)
     out[f"{name}/proposed"] = digest(*run(inst, config))
     out[f"{name}/adam"] = digest(*run_adam(inst, config))
     rho_avg = 0.8 if schedule.alpha_exponent < 0.8 else 1.0

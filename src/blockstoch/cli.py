@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import re
 import shlex
 import sys
@@ -186,8 +185,7 @@ def _flag_errors():
 
 def _build_config(args, methods) -> RunConfig:
     """The run's settings, and the parameters of ``methods``, all checked
-    before any method starts.  The CLI owns its process, so its runs may
-    use every core (``n_workers``); no result depends on the count."""
+    before any method starts."""
     with _flag_errors():
         schedule = Schedule(args.rho_omega, args.rho_alpha, args.alpha_scale)
         if "avg-sca" in methods:
@@ -201,7 +199,6 @@ def _build_config(args, methods) -> RunConfig:
             seed=args.seed,
             eval_every=args.eval_every,
             term_eps=args.term_eps,
-            n_workers=os.cpu_count() or 1,
         )
 
 

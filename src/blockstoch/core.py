@@ -5,9 +5,9 @@ mini-batch sample gradient into a running convex combination, then moves
 every block through a proximal step (projection of a scaled tracker step
 onto the block's feasible set).  Block updates within one iteration are
 mutually independent: each reads the previous iterate and writes only its
-own slice.  One step runs them as a single serial pass.  With
-``RunConfig.n_workers`` >= 2 and a batch too large for two to share a
-draw of ``DRAW_BYTES``, the next iteration's batch is drawn on one worker
+own slice.  One step runs them as a single serial pass.  Where a batch
+is too large for two to share a draw of ``DRAW_BYTES`` and the run is long
+enough (:func:`drive`), the next iteration's batch is drawn on one worker
 thread while the step runs.
 
 Per block the step is x_l <- P_l(x_l - alpha_k h_l), the minimizer of the
@@ -24,6 +24,7 @@ the projection, there gamma_k shortens the projected move.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -345,11 +346,9 @@ class ProblemInstance:
 class RunConfig:
     """Settings of one run.  With ``term_eps`` set, a run also stops once
     ||x^k - x^{k-1}|| / alpha_k <= term_eps; without it, at ``max_iters``
-    only.  ``n_workers`` (>= 1) is the number of threads a run may use.
-    The step is always one serial pass; at 2 or more, where each draw
-    holds one batch (:func:`drive`), the next batch is drawn on one worker
-    thread while the step runs.  The draws, and so every result, are the
-    same at any count."""
+    only.  ``n_workers`` is kept for callers that set it and must be >= 1,
+    but selects nothing: the step is one serial pass, and whether draws
+    overlap it follows from the run itself (:func:`drive`)."""
 
     schedule: Schedule = field(default_factory=Schedule)
     batch_size: int = 1
@@ -465,6 +464,21 @@ DRAW_BYTES = 1 << 20
 """Byte budget of one prefetched draw: :func:`drive` asks ``sample_batch``
 for as many batches at once as fit in it (at least one)."""
 
+PREFETCH_MIN_ITERS = 10
+"""Shortest run whose draws :func:`drive` takes on a worker thread.  The
+worker pays only where the scheduler runs it on another CPU than the
+step's, which it often does not early in a run: 5-iteration runs of a
+2e5-entry Box/L2Ball quadratic took 4.8% longer with the worker (median of
+50 interleaved pairs on 2 vCPUs), against 24.8% less time with the two
+threads pinned to different CPUs."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where it has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _make_record(problem: ProblemInstance, k: int, x: Vector, h: Optional[Vector],
                  step_norm: float, started_ns: int) -> TraceRecord:
@@ -533,12 +547,12 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
     later calls draw (never more than the iterations left), and iteration
     k takes its ``batch_size`` rows in order.  By the sampling contract
     this is the stream of one call per iteration.  Where each call draws
-    one batch (it holds over half of ``DRAW_BYTES``) and
-    ``config.n_workers`` > 1, each later call runs on one worker thread,
-    started for the run and joined before it returns, while the previous
-    iteration's step runs: the same calls in the same order, one in flight
-    at a time, and a call's error is raised at the iteration that needs
-    its batch.
+    one batch (it holds over half of ``DRAW_BYTES``), the run has at least
+    ``PREFETCH_MIN_ITERS`` iterations and the process may use more than one
+    CPU, each later call runs on one worker thread, started for the run and
+    joined before it returns, while the previous iteration's step runs:
+    the same calls in the same order, one in flight at a time, and a
+    call's error is raised at the iteration that needs its batch.
     """
     rng, schedule = np.random.default_rng(config.seed), config.schedule
     eps = config.term_eps
@@ -558,7 +572,8 @@ def drive(problem: ProblemInstance, config: RunConfig, x: Vector, step: Step,
                     raise ValueError(f"sample_batch(rng, {n}) returned {len(draws)} realizations")
                 if k == 1:
                     per_draw = max(1, DRAW_BYTES // max(1, draws.nbytes))
-                    if per_draw == 1 and config.n_workers > 1:
+                    if (per_draw == 1 and config.max_iters >= PREFETCH_MIN_ITERS
+                            and _usable_cpus() > 1):
                         pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at submit
                 if pool is not None and k < config.max_iters:  # n is one batch, as next time
                     pending = pool.submit(problem.sample_batch, rng, n)

@@ -8,7 +8,7 @@ import pytest
 import blockstoch.io
 from blockstoch.cli import METHODS, build_parser, main
 from blockstoch.io import read_manifest, read_trace, load_libsvm
-from blockstoch import AdamParams, RunConfig, Schedule, SvmProblem, make_quadratic, run
+from blockstoch import AdamParams, RunConfig, Schedule, SvmProblem, make_quadratic
 
 
 PEGASOS_NEEDS_SVM = "error: pegasos needs an SVM problem (--data), not --synthetic\n"
@@ -463,20 +463,6 @@ class TestRun:
         manifest = read_manifest(outdir / "proposed.manifest.txt")
         assert manifest["blocks"] == ran
         assert "workers" not in manifest
-
-    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, 1)])
-    def test_runs_may_use_every_core(self, tmp_path, monkeypatch, cores, workers):
-        seen = []
-
-        def spy(instance, config, **kwargs):
-            seen.append(config.n_workers)
-            return run(instance, config, **kwargs)
-
-        monkeypatch.setattr("blockstoch.cli.os.cpu_count", lambda: cores)
-        monkeypatch.setattr("blockstoch.cli.run", spy)
-        assert run_cli("run", "--method", "proposed", "--synthetic", "quad-d2",
-                       "--iters", "10", "--eval-every", "10", "--outdir", str(tmp_path)) == 0
-        assert seen == [workers]
 
     @pytest.mark.parametrize("flags", [
         ("--batch", "0"),

@@ -1121,47 +1121,52 @@ class TestDrawPrefetch:
 
         return replace(inst, sample_batch=sample_batch), sizes, on_main
 
-    def test_svm_run_draws_at_most_twice(self):
+    def test_svm_run_draws_at_most_twice(self, monkeypatch):
         ds, _ = make_separable_dataset(1000, 20, seed=3)
         problem = SvmProblem.with_blocks(ds, 1e-2, 4)
         config = RunConfig(schedule=Schedule(0.51, 0.75, 5.0), max_iters=1000, eval_every=20,
                            seed=5)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        inst, sizes, on_main = self.counted(problem.instance())
+        x, trace = run(inst, config)
+        assert len(sizes) <= 2 and sum(sizes) == 1000
+        assert all(on_main)  # a batch far below DRAW_BYTES starts no worker
         x_ref, trace_ref = run(problem.instance(), config)
-        for n_workers in (1, 2):  # a batch far below DRAW_BYTES starts no worker
-            inst, sizes, on_main = self.counted(problem.instance())
-            x, trace = run(inst, replace(config, n_workers=n_workers))
-            assert len(sizes) <= 2 and sum(sizes) == 1000 and all(on_main)
-            assert x.tobytes() == x_ref.tobytes()
-            assert records_without_time(trace) == records_without_time(trace_ref)
+        assert x.tobytes() == x_ref.tobytes()
+        assert records_without_time(trace) == records_without_time(trace_ref)
 
-    def test_batch_above_budget_draws_every_iteration(self):
+    def test_batch_above_budget_draws_every_iteration(self, monkeypatch):
         dim = core.DRAW_BYTES // 8 // 2 + 1
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         inst, sizes, on_main = self.counted(make_quadratic(dim, noise_stddev=1.0).instance())
         run(inst, RunConfig(batch_size=2, max_iters=5, eval_every=5))
-        assert sizes == [2] * 5 and all(on_main)
+        assert sizes == [2] * 5
+        assert all(on_main)  # 5 < PREFETCH_MIN_ITERS: too short a run for the worker
 
-    # term_eps 135 stops proposed at k = 4, adam at 1 and avg-sca at 2 of 6, each
+    # term_eps 135 stops proposed at k = 4, adam at 1 and avg-sca at 2, each
     # with the next draw in flight.
     @pytest.mark.parametrize("term_eps", [None, 135.0])
     @pytest.mark.parametrize("method", [run, run_adam, run_averaged_sca])
-    def test_worker_draws_keep_every_result(self, method, term_eps):
-        config = RunConfig(max_iters=6, eval_every=2, seed=4, term_eps=term_eps)
+    def test_worker_draws_keep_every_result(self, monkeypatch, method, term_eps):
+        config = RunConfig(max_iters=core.PREFETCH_MIN_ITERS, eval_every=2, seed=4,
+                           term_eps=term_eps)
         inst = wide_quadratic().instance()
         results = []
-        for n_workers in (1, 2):
+        for cpus in (1, 2):  # one usable CPU starts no worker
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
             counted, sizes, on_main = self.counted(inst)
             log = []
             before, interval = threading.active_count(), sys.getswitchinterval()
             sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
             try:
-                x, trace = method(counted, replace(config, n_workers=n_workers), sample_log=log)
+                x, trace = method(counted, config, sample_log=log)
             finally:
                 sys.setswitchinterval(interval)
             assert threading.active_count() == before
             iters = trace[-1].k
-            assert (iters < 6) == (term_eps is not None)
+            assert (iters < config.max_iters) == (term_eps is not None)
             assert len(log) == iters and sizes == [1] * len(sizes)
-            if n_workers == 1:
+            if cpus == 1:
                 assert on_main == [True] * iters
             else:  # every draw after the first on the worker; a stop leaves one unused
                 assert on_main == [True] + [False] * (iters - (term_eps is None))
@@ -1169,9 +1174,11 @@ class TestDrawPrefetch:
                             [batch.tobytes() for batch in log]))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_no_thread_outlives_a_run(self, n_workers):
-        config = RunConfig(max_iters=6, eval_every=6, n_workers=n_workers)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_thread_outlives_a_run(self, monkeypatch, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        config = RunConfig(max_iters=core.PREFETCH_MIN_ITERS,
+                           eval_every=core.PREFETCH_MIN_ITERS)
         inst = wide_quadratic().instance()
         before = threading.active_count()  # clean runs: test_worker_draws_keep_every_result
         calls, ks = [], []
@@ -1205,7 +1212,7 @@ class TestDrawPrefetch:
         failing = replace(inst, sample_batch=slow_draw, batch_grad=nan_at_k2)
         with pytest.raises(NumericalFailureError, match="at iteration 2, block 0"):
             run(failing, config)
-        assert len(finished) == (3 if n_workers > 1 else 2)
+        assert len(finished) == (3 if cpus > 1 else 2)
         assert threading.active_count() == before
 
     def test_draw_sizes_fill_budget_and_stop_at_last_iteration(self):
