@@ -75,11 +75,15 @@ iteration count; the ``cli-term-eps`` entries run the same corpus through
 ``blockstoch compare --lambda 0.1 --term-eps 0.35``, whose stop rule ends
 each method before ``--iters`` (proposed at iteration 90, pegasos at 657,
 adam at 1 and avg-sca at 2), and compare each method's trace and manifest.
-The ``cli-gen`` entries hold the bytes that ``blockstoch gen`` writes for
-each of its three specs (``separable-svm``, ``quadratic``,
-``nonconvex-toy``) with fixed flags and ``--seed 4``;
-``cli-gen/separable-svm-wide`` writes a 30 x 500 planted file, so the
+The ``cli-gen`` entries hold the bytes that ``blockstoch gen separable-svm``
+writes with fixed flags and ``--seed 4``: ``cli-gen/separable-svm`` a 40 x 7
+planted file, ``cli-gen/separable-svm-wide`` a 30 x 500 one, so the
 generator's CSR arrays are compared on rows of 500 entries, not only 7.
+The ``cli-synthetic`` entries run ``blockstoch run --synthetic`` on the
+specs ``quad-d12-s0.5`` and ``noncvx`` at batch 2 for proposed, adam and
+avg-sca, and compare each run's trace and manifest (without ``command``
+and the two timings): the problem a spec string names is compared from
+the string to the files the run writes.
 ``io-write/parsed-sparse`` holds the bytes that ``write_libsvm`` writes for
 the subsampled parsed-sparse corpus, whose empty rows, dropped ``k:0``
 tokens and rows of varying length the dense ``cli-gen`` rows never have.
@@ -205,14 +209,25 @@ with tempfile.TemporaryDirectory() as tmp:
                 ("separable-svm", "separable-svm",
                  ("--m", "40", "--n", "7", "--margin", "0.3")),
                 ("separable-svm-wide", "separable-svm",
-                 ("--m", "30", "--n", "500", "--margin", "0.3")),
-                ("quadratic", "quadratic", ("--dim", "12", "--sigma", "0.5")),
-                ("nonconvex-toy", "nonconvex-toy", ("--sigma", "2.5"))):
+                 ("--m", "30", "--n", "500", "--margin", "0.3"))):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["gen", spec, *flags, "--seed", "4", "--out", f"gen/{name}"])
             if code != 0:
                 raise SystemExit(f"gen {name} exited {code}")
             out[f"cli-gen/{name}"] = Path(f"gen/{name}").read_bytes().decode("utf-8")
+        for spec in ("quad-d12-s0.5", "noncvx"):
+            for method in ("proposed", "adam", "avg-sca"):
+                outdir = f"syn/{spec}"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["run", "--method", method, "--synthetic", spec,
+                                     "--batch", "2", "--iters", "1000", "--eval-every", "100",
+                                     "--seed", "5", "--outdir", outdir])
+                if code != 0:
+                    raise SystemExit(f"run --synthetic {spec} --method {method} exited {code}")
+                manifest = read_manifest(f"{outdir}/{method}.manifest.txt")
+                out[f"cli-synthetic/{spec}/{method}"] = {
+                    "trace": Path(f"{outdir}/{method}.trace.csv").read_text(),
+                    "manifest": {k: v for k, v in manifest.items() if k not in timings}}
     finally:
         os.chdir(cwd)
 for name, problem, schedule, batch, iters in (

@@ -3,8 +3,8 @@
 Three subcommands: ``compare`` executes all four optimizers on one problem
 and the identical sample stream, writing a trace CSV and a run manifest per
 method plus a summary table; ``run`` is the same path for one optimizer;
-``gen`` writes synthetic problems to disk.  Exit codes: 0 success, 1
-runtime failure, 2 usage error.
+``gen`` writes a planted separable SVM dataset in LIBSVM format.  Exit
+codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -58,45 +58,23 @@ def _resolve_lambda(args, dataset_name: str) -> float:
     return DEFAULT_LAMBDA
 
 
-_QUAD_SPEC = re.compile(r"^quad-d(\d+)(?:-s([0-9.eE+-]+))?$")
-
-
-def _spec_value(spec: str, entries: dict, key: str, convert):
-    """The problem's ``key`` entry, converted; missing or unreadable is a usage error."""
-    if key not in entries:
-        raise UsageError(f"--synthetic: {spec}: no {key}= line")
-    try:
-        return convert(entries[key])
-    except ValueError:
-        raise UsageError(f"--synthetic: {spec}: unreadable {key}={entries[key]}") from None
+# The string holds every number of the problem (sigma defaults to 1.0), so the
+# manifest's command= names the whole problem.
+_SYNTHETIC_SPEC = re.compile(r"(?:quad-d(\d+)|noncvx)(?:-s(.+))?")
 
 
 def _parse_synthetic(args) -> tuple[ProblemInstance, dict]:
-    # A built-in spec becomes the entries a problem file would hold.
     spec = args.synthetic
-    extras = {"synthetic": spec}
-    if Path(spec).is_file():
-        try:
-            entries = dataio.read_manifest(spec)
-        except ValueError as exc:
-            raise UsageError(f"--synthetic: {exc}") from None
-    elif spec in ("noncvx", "nonconvex-toy"):
-        entries = {"kind": "nonconvex-toy", "sigma": "1.0"}
-    elif match := _QUAD_SPEC.match(spec):
-        entries = {"kind": "quadratic", "dim": match[1], "sigma": match[2] or "1.0"}
-    else:
+    match = _SYNTHETIC_SPEC.fullmatch(spec)
+    if match is None:
         raise UsageError(
-            f"--synthetic: {spec!r} is not quad-d<dim>[-s<sigma>], "
-            "noncvx, or a problem-spec file"
-        )
-    kind = entries.get("kind", "")
-    if kind not in ("quadratic", "nonconvex-toy"):
-        raise UsageError(f"--synthetic: {spec}: unknown problem kind {kind!r}")
-    sigma = _spec_value(spec, entries, "sigma", float)
+            f"--synthetic: {spec!r} is not quad-d<dim>[-s<sigma>] or noncvx[-s<sigma>]")
+    extras = {"synthetic": spec}
     try:
-        if kind == "nonconvex-toy":
+        sigma = float(match[2] or "1.0")
+        if match[1] is None:
             return make_nonconvex_toy(sigma), extras
-        dim = _spec_value(spec, entries, "dim", int)
+        dim = int(match[1])
         # All-ones target: the centroid start (zeros) is genuinely away from it.
         quad = make_quadratic(dim, noise_stddev=sigma, target=np.ones(dim),
                               n_blocks=min(args.blocks, dim))
@@ -321,22 +299,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    with _flag_errors():
+        ds, _ = make_separable_dataset(args.m, args.n, margin=args.margin, seed=args.seed)
     out = Path(args.out)
-    if args.spec == "separable-svm":
-        with _flag_errors():
-            ds, _ = make_separable_dataset(args.m, args.n, margin=args.margin, seed=args.seed)
-    elif not 0 <= args.sigma < np.inf:
-        raise UsageError(f"--sigma: sigma={args.sigma}: must be finite and >= 0")
-    elif args.spec == "quadratic" and args.dim < 1:
-        raise UsageError("--dim must be a positive integer")
     # Like run's --outdir, the directory is made only once every check passed.
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.spec == "separable-svm":
-        dataio.write_libsvm(ds, out)
-    elif args.spec == "quadratic":
-        dataio.write_manifest({"kind": "quadratic", "dim": args.dim, "sigma": args.sigma}, out)
-    else:
-        dataio.write_manifest({"kind": "nonconvex-toy", "sigma": args.sigma}, out)
+    dataio.write_libsvm(ds, out)
     print(f"wrote {out}")
     return 0
 
@@ -350,7 +318,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("problem")
     g.add_argument("--data", metavar="PATH", help="LIBSVM training file")
     g.add_argument("--synthetic", metavar="SPEC",
-                   help="quad-d<dim>[-s<sigma>], noncvx, or a gen'd problem file")
+                   help="quad-d<dim>[-s<sigma>] or noncvx[-s<sigma>] (sigma: noise "
+                        "level, default 1)")
     g.add_argument("--test-data", metavar="PATH", help="LIBSVM test file")
     g.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="SVM regularizer (default: per-dataset convention)")
@@ -405,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic problem file")
-    p_gen.add_argument("spec", choices=("separable-svm", "quadratic", "nonconvex-toy"))
+    p_gen = sub.add_parser("gen", help="write a planted separable SVM dataset (LIBSVM)")
+    p_gen.add_argument("spec", choices=("separable-svm",))
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--m", type=int, default=1000)
     p_gen.add_argument("--n", type=int, default=20)
     p_gen.add_argument("--margin", type=float, default=0.5)
-    p_gen.add_argument("--dim", type=int, default=10)
-    p_gen.add_argument("--sigma", type=float, default=1.0)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
     return parser
@@ -424,6 +391,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.raw_command = shlex.join(["blockstoch"] + argv)
     try:
+        # The manifest's command= line holds argv and cannot hold a line break.
+        for arg in argv:
+            if "\n" in arg or "\r" in arg:
+                raise UsageError(f"argument {arg!r} holds a line break")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

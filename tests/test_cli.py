@@ -1,6 +1,8 @@
 """Command-line driver: run, compare, gen, exit codes, manifests."""
 
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,16 +69,6 @@ class TestGen:
         assert capsys.readouterr().err.startswith(f"error: --margin: margin={float(margin)}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec, sigma", [("quadratic", "inf"), ("quadratic", "nan"),
-                                             ("nonconvex-toy", "-2")])
-    def test_bad_sigma_is_usage_error(self, tmp_path, capsys, spec, sigma):
-        # Every later run would reject such a problem file.
-        out = tmp_path / "p.prob"
-        code = run_cli("gen", spec, "--sigma", sigma, "--out", str(out))
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: --sigma: ")
-        assert not out.exists()
-
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "a.libsvm"
         code = run_cli("gen", "separable-svm", "--seed", "-1", "--out", str(out))
@@ -87,48 +79,20 @@ class TestGen:
     @pytest.mark.parametrize("argv", [
         ("separable-svm", "--m", "0"),
         ("separable-svm", "--seed", "-1"),
-        ("quadratic", "--dim", "0"),
-        ("quadratic", "--sigma", "inf"),
-        ("nonconvex-toy", "--sigma", "-1"),
-    ], ids=["m", "seed", "dim", "sigma", "toy-sigma"])
+    ], ids=["m", "seed"])
     def test_rejected_gen_leaves_no_directory(self, tmp_path, argv):
         out = tmp_path / "sub" / "deeper" / "x.out"
         assert run_cli("gen", *argv, "--out", str(out)) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_gen_makes_missing_directories(self, tmp_path):
-        for spec in ("separable-svm", "quadratic", "nonconvex-toy"):
-            out = tmp_path / spec / "nested" / "x.out"
-            assert run_cli("gen", spec, "--out", str(out)) == 0
-            assert out.stat().st_size > 0
-
-    def test_quadratic_spec_file(self, tmp_path):
-        spec = tmp_path / "quad.prob"
-        assert run_cli("gen", "quadratic", "--dim", "4", "--sigma", "0.5",
-                       "--out", str(spec)) == 0
-        entries = read_manifest(spec)
-        assert entries["kind"] == "quadratic"
-        assert entries["dim"] == "4"
-        assert "seed" not in entries  # the quadratic has no random part
-        outdir = tmp_path / "runs"
-        code = run_cli("run", "--method", "proposed", "--synthetic", str(spec),
-                       "--iters", "200", "--eval-every", "100",
-                       "--outdir", str(outdir))
-        assert code == 0
-        assert (outdir / "proposed.trace.csv").exists()
-
-    def test_problem_file_with_leading_bom(self, tmp_path):
-        spec = tmp_path / "quad.prob"
-        spec.write_bytes("\ufeffkind=quadratic\ndim=4\nsigma=1.0\n".encode("utf-8"))
-        outdir = tmp_path / "runs"
-        assert run_cli("run", "--method", "proposed", "--synthetic", str(spec),
-                       "--iters", "200", "--eval-every", "100", "--outdir", str(outdir)) == 0
-        assert read_manifest(outdir / "proposed.manifest.txt")["blocks"] == "4"
+        out = tmp_path / "separable-svm" / "nested" / "x.out"
+        assert run_cli("gen", "separable-svm", "--out", str(out)) == 0
+        assert out.stat().st_size > 0
 
 
 # (id, command, problem, flags, start of the error line after "error: "); the
-# problem is "svm" for the generated training file, a spec, or a problem
-# file's text.
+# problem is "svm" for the generated training file, else a --synthetic spec.
 BAD_VALUES = [
     ("compare-adam-lr-0", ("compare",), "svm", ("--adam-lr", "0"), "--adam-lr: lr=0.0: "),
     ("adam-lr-inf", ("run", "--method", "adam"), "svm", ("--adam-lr", "inf"),
@@ -153,22 +117,14 @@ BAD_VALUES = [
      "--term-eps: term_eps=inf "),
     ("sigma-overflow", ("run", "--method", "proposed"), "quad-d4-s1e999", (),
      "--synthetic: quad-d4-s1e999: noise_stddev=inf: "),
-    ("file-sigma-nan", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=nan\n",
-     (), "--synthetic: {file}: noise_stddev=nan: "),
-    ("file-toy-sigma-neg", ("run", "--method", "proposed"),
-     "kind=nonconvex-toy\nsigma=-3\n", (), "--synthetic: {file}: noise_stddev=-3.0: "),
-    ("file-no-dim", ("run", "--method", "proposed"), "kind=quadratic\nsigma=1.0\n", (),
-     "--synthetic: {file}: no dim= line"),
-    ("file-bad-dim", ("run", "--method", "proposed"), "kind=quadratic\ndim=four\nsigma=1\n",
-     (), "--synthetic: {file}: unreadable dim=four"),
-    ("file-empty-sigma", ("run", "--method", "proposed"), "kind=quadratic\ndim=4\nsigma=\n",
-     (), "--synthetic: {file}: unreadable sigma="),
     ("spec-dim-0", ("run", "--method", "proposed"), "quad-d0", (),
      "--synthetic: quad-d0: dim must be positive\n"),
-    ("file-dim-0", ("run", "--method", "proposed"), "kind=quadratic\ndim=0\nsigma=1\n", (),
-     "--synthetic: {file}: dim must be positive\n"),
-    ("file-dim-neg", ("run", "--method", "proposed"), "kind=quadratic\ndim=-3\nsigma=1\n", (),
-     "--synthetic: {file}: "),
+    ("sigma-nan", ("run", "--method", "proposed"), "quad-d4-snan", (),
+     "--synthetic: quad-d4-snan: noise_stddev=nan: "),
+    ("toy-sigma-neg", ("run", "--method", "proposed"), "noncvx-s-3", (),
+     "--synthetic: noncvx-s-3: noise_stddev=-3.0: "),
+    ("sigma-unreadable", ("run", "--method", "proposed"), "quad-d4-s1e", (),
+     "--synthetic: quad-d4-s1e: "),
 ]
 
 
@@ -238,25 +194,19 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {data}: not valid UTF-8 text (")
 
-    def test_non_utf8_problem_file_names_the_file(self, tmp_path, capsys):
-        spec = tmp_path / "bad.prob"
-        spec.write_bytes(b"kind=quadratic\ndim=4\xff\nsigma=1.0\n")
-        code = run_cli("run", "--method", "proposed", "--synthetic", str(spec),
-                       "--outdir", str(tmp_path / "r"))
+    @pytest.mark.parametrize("synthetic, outdir", [("quad-d4\n", "r"), ("quad-d4", "r\nx"),
+                                                  ("quad-d4", "r\rx")],
+                             ids=["synthetic-lf", "outdir-lf", "outdir-cr"])
+    def test_line_break_in_an_argument_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                      synthetic, outdir):
+        # The manifest's command= line could not record the argument.
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("run", "--method", "proposed", "--synthetic", synthetic,
+                       "--iters", "10", "--eval-every", "10", "--outdir", outdir)
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: --synthetic: {spec}: not valid UTF-8 text (")
-        assert not (tmp_path / "r").exists()
-
-    def test_problem_file_with_a_repeated_key_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "dup.prob"
-        spec.write_text("kind=quadratic\ndim=3\nsigma=1.0\ndim=5\n")
-        code = run_cli("run", "--method", "proposed", "--synthetic", str(spec),
-                       "--outdir", str(tmp_path / "r"))
-        assert code == 2
-        assert capsys.readouterr().err == \
-            f"error: --synthetic: {spec}: line 4: duplicate key 'dim'\n"
-        assert not (tmp_path / "r").exists()
+        bad = synthetic if "\n" in synthetic else outdir
+        assert capsys.readouterr().err == f"error: argument {bad!r} holds a line break\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_exactly_one_problem(self, tmp_path, capsys):
         assert run_cli("run", "--method", "adam",
@@ -486,19 +436,15 @@ class TestRun:
                              ids=[case[0] for case in BAD_VALUES])
     def test_bad_value_is_usage_error_before_any_method(self, svm_file, tmp_path, capsys,
                                                         command, problem, flags, err):
-        spec = tmp_path / "problem.txt"
         if problem == "svm":
             flags += ("--data", str(svm_file))
-        elif "=" in problem:
-            spec.write_text(problem, encoding="utf-8")
-            flags += ("--synthetic", str(spec))
         else:
             flags += ("--synthetic", problem)
         outdir = tmp_path / "r"
         code = run_cli(*command, *flags, "--iters", "20", "--eval-every", "10",
                        "--outdir", str(outdir))
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {err.format(file=spec)}")
+        assert capsys.readouterr().err.startswith(f"error: {err}")
         assert not outdir.exists()
 
     def test_pegasos_non_finite_iterate_is_runtime_error(self, tmp_path, capsys):
@@ -510,6 +456,55 @@ class TestRun:
         assert code == 1
         assert re.fullmatch(r"error: non-finite iterate at iteration \d+, block \d+\n",
                             capsys.readouterr().err)
+
+
+class TestSynthetic:
+    """--synthetic takes a spec string only; it names the whole problem."""
+
+    def test_file_named_like_a_spec_does_not_shadow_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("quad-d4").write_text("hello\n", encoding="utf-8")
+        assert run_cli("run", "--method", "proposed", "--synthetic", "quad-d4",
+                       "--iters", "10", "--eval-every", "10", "--outdir", "r") == 0
+        assert read_manifest(tmp_path / "r" / "proposed.manifest.txt")["blocks"] == "4"
+
+    def test_toy_sigma_is_part_of_the_spec(self, tmp_path):
+        traces = []
+        for spec in ("noncvx", "noncvx-s2.5"):
+            outdir = tmp_path / spec
+            assert run_cli("run", "--method", "proposed", "--synthetic", spec,
+                           "--iters", "100", "--eval-every", "50", "--seed", "4",
+                           "--outdir", str(outdir)) == 0
+            assert read_manifest(outdir / "proposed.manifest.txt")["synthetic"] == spec
+            traces.append((outdir / "proposed.trace.csv").read_bytes())
+        assert traces[0] != traces[1]
+
+    @pytest.mark.parametrize("spec", ["file", "nonconvex-toy"])
+    def test_only_a_spec_string_names_a_problem(self, tmp_path, capsys, spec):
+        if spec == "file":
+            spec = str(tmp_path / "p.prob")
+            Path(spec).write_text("kind=quadratic\ndim=4\nsigma=1.0\n", encoding="utf-8")
+        outdir = tmp_path / "r"
+        code = run_cli("run", "--method", "proposed", "--synthetic", spec,
+                       "--outdir", str(outdir))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --synthetic: {spec!r} is not quad-d<dim>[-s<sigma>] "
+            "or noncvx[-s<sigma>]\n")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("spec", ["quad-d6-s0.5", "noncvx-s2.5"])
+    def test_manifest_command_replays_the_run(self, tmp_path, spec):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("run", "--method", "proposed", "--synthetic", spec, "--blocks", "2",
+                       "--iters", "200", "--eval-every", "50", "--seed", "3",
+                       "--outdir", str(first)) == 0
+        argv = shlex.split(read_manifest(first / "proposed.manifest.txt")["command"])
+        assert argv[0] == "blockstoch" and argv.count("--outdir") == 1
+        argv[argv.index("--outdir") + 1] = str(second)
+        assert run_cli(*argv[1:]) == 0
+        assert ((first / "proposed.trace.csv").read_bytes()
+                == (second / "proposed.trace.csv").read_bytes())
 
 
 class TestCompare:

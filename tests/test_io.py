@@ -488,13 +488,21 @@ class TestManifest:
         path.write_bytes("\ufeffkind=quadratic\ndim=4\n".encode("utf-8"))
         assert read_manifest(path) == {"kind": "quadratic", "dim": "4"}
 
+    def test_read_names_a_non_utf8_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"seed=1\nmethod=adam\xff\n")
+        with pytest.raises(ParseError) as info:
+            read_manifest(path)
+        assert info.value.line_no is None
+        assert str(info.value).startswith(f"{path}: not valid UTF-8 text (")
+
     def test_read_rejects_bad_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("novalue\n")
         with pytest.raises(ValueError):
             read_manifest(path)
 
-    # Keeping the last value would silently run a 5-D problem from the first file.
+    # Keeping the last value would silently read another entry than the first.
     @pytest.mark.parametrize("text, fault", [
         ("kind=quadratic\ndim=3\nsigma=1.0\ndim=5\n", "line 4: duplicate key 'dim'"),
         ("seed=1\n\nseed=1\n", "line 3: duplicate key 'seed'"),
