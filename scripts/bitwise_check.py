@@ -65,7 +65,12 @@ row indices, 10 iterations) are the entries whose batch fills a draw and
 whose runs are at least ``blockstoch.core.PREFETCH_MIN_ITERS`` long: on a
 machine with more than one usable CPU, a tree that draws each batch on a
 worker thread while the step runs is compared there with one that draws
-it on the calling thread, or with itself.  The
+it on the calling thread, or with itself.  Every other library quadratic
+has noise level 1 and unit curvature, where the quadratic's oracles may
+skip their multiplications by 1 (and, at batch 1, the division by the
+batch size); ``quad-curved-b1`` and ``-b4`` (curvature 0.5 to 3, a Box and
+an Unconstrained block) and ``quad-sigma-b1`` (noise level 0.5, a Box and
+an L2Ball block) take the passes that are not skipped.  The
 ``cli-compare`` entries run
 ``blockstoch compare --batch 3 --test-data --log-sample-indices`` on that
 corpus and compare each method's trace, sample log and manifest, and the
@@ -139,6 +144,12 @@ draw_sized = make_quadratic(dim, noise_stddev=1.0, target=np.linspace(-2.0, 2.0,
                             n_blocks=2,
                             feasible_sets=[Box(-np.ones(dim // 2), np.ones(dim // 2)),
                                            L2Ball(np.full(dim - dim // 2, 0.01), 50.0)])
+curved = make_quadratic(6, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
+                        curvature=np.linspace(0.5, 3.0, 6),
+                        feasible_sets=[Box(-np.ones(3), np.ones(3)), Unconstrained(3)])
+noisy = make_quadratic(6, noise_stddev=0.5, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
+                       feasible_sets=[Box(-np.ones(3), np.ones(3)),
+                                      L2Ball(np.array([0.05, -0.02, 0.0]), 0.8)])
 wide = make_quadratic(20000, noise_stddev=1.0, target=np.linspace(-2.0, 2.0, 20000),
                       n_blocks=2, feasible_sets=[Box(-np.ones(10000), np.ones(10000)),
                                                  L2Ball(np.full(10000, 0.01), 30.0)])
@@ -236,6 +247,9 @@ for name, problem, schedule, batch, iters in (
         ("svm-eval-every-1", svm, Schedule(0.51, 0.75, 5.0), 1, 300),
         ("quad-box-ball", quad, Schedule(), 4, 2000),
         ("quad-mixed", mixed, Schedule(), 4, 2000),
+        ("quad-curved-b1", curved, Schedule(), 1, 2000),
+        ("quad-curved-b4", curved, Schedule(), 4, 2000),
+        ("quad-sigma-b1", noisy, Schedule(), 1, 2000),
         ("parsed-sparse", parsed, Schedule(), 4, 2000),
         ("parsed-sparse-7", parsed7, Schedule(), 4, 2000),
         ("parsed-sparse-per-feature-b1", per_feature, Schedule(), 1, 2000),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import platform
 import re
 import shlex
 import sys
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import io as dataio
 from .baselines import AdamParams, check_rho_avg, run_adam, run_averaged_sca, run_pegasos
 from .core import ProblemInstance, RunConfig, run
@@ -209,6 +211,12 @@ def _run_methods(args, methods) -> tuple[list[dict], list]:
         raise UsageError("pegasos needs an SVM problem (--data), not --synthetic")
     config = _build_config(args, methods)
     test_set = _load_test_set(args, svm)
+    if test_set is not None:
+        extras["test_dataset_checksum"] = dataio.dataset_checksum(args.test_data)
+    # numpy's Generator streams may change between numpy releases (NEP 19), so
+    # command= replays a trace byte for byte only on the install named here.
+    extras.update(blockstoch_version=__version__, numpy_version=np.__version__,
+                  python_version=platform.python_version())
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

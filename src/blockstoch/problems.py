@@ -282,6 +282,12 @@ class QuadraticProblem:
     its gradient c * (x - target) are available in closed form, as is the
     constrained optimum for box-type sets, which makes this the main
     verification oracle.
+
+    The oracles skip each pass whose factor is exactly 1: the draw's
+    ``* sigma`` at sigma = 1, the batch mean's ``/ B`` at B = 1, and the
+    ``* c`` of ``batch_grad`` and ``gradient`` when every curvature entry
+    is 1.  In IEEE-754, v * 1 and v / 1 are v for every number, signed
+    zeros and infinities included, so no result moves by a bit.
     """
 
     target: Vector
@@ -317,9 +323,15 @@ class QuadraticProblem:
         return 0.5 * _dot(self.curvature, offsets) \
             + 0.5 * self.noise_stddev ** 2 * float(self.curvature.sum())
 
+    @cached_property
+    def _curved(self) -> bool:
+        """Whether some curvature entry is not 1, so that ``* c`` is not a no-op."""
+        return bool((self.curvature != 1.0).any())
+
     def gradient(self, x) -> Vector:
         out = np.subtract(x, self.target, dtype=np.float64)
-        out *= self.curvature
+        if self._curved:
+            out *= self.curvature
         return out
 
     def optimum(self) -> Vector:
@@ -345,10 +357,12 @@ class QuadraticProblem:
     def instance(self) -> ProblemInstance:
         mu, c, sigma = self.target, self.curvature, self.noise_stddev
         slices = _slices(self.blocks)
+        scaled, curved = sigma != 1.0, self._curved
 
         def sample_batch(rng, size):
             z = rng.standard_normal((size, mu.size))
-            z *= sigma
+            if scaled:
+                z *= sigma
             z += mu
             return z
 
@@ -356,9 +370,11 @@ class QuadraticProblem:
             sl = slices[l]
             z = np.asarray(z_batch)[:, sl]
             out = np.add.reduce(z, axis=0)
-            out /= len(z)
+            if len(z) > 1:
+                out /= len(z)
             np.subtract(np.asarray(x)[sl], out, out=out)
-            out *= c[sl]
+            if curved:
+                out *= c[sl]
             return out
 
         return ProblemInstance(

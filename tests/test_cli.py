@@ -1,5 +1,6 @@
 """Command-line driver: run, compare, gen, exit codes, manifests."""
 
+import platform
 import re
 import shlex
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blockstoch
 import blockstoch.io
 from blockstoch.cli import METHODS, build_parser, main
 from blockstoch.io import read_manifest, read_trace, load_libsvm
@@ -224,6 +226,40 @@ class TestRun:
         assert manifest["lambda"] == "1e-06"
         assert manifest["dataset_checksum"]
         assert manifest["train_accuracy"]
+
+    def test_manifest_command_replays_a_data_run(self, svm_file, tmp_path):
+        # The manifest pins both files and the install; its command= run into
+        # another --outdir gives the same trace bytes.
+        test_file = tmp_path / "test.libsvm"
+        assert run_cli("gen", "separable-svm", "--m", "30", "--n", "6", "--seed", "4",
+                       "--out", str(test_file)) == 0
+        first, second, third = (tmp_path / name for name in ("first", "second", "third"))
+        assert run_cli("run", "--method", "proposed", "--data", str(svm_file),
+                       "--test-data", str(test_file), "--iters", "200", "--eval-every", "50",
+                       "--seed", "3", "--outdir", str(first)) == 0
+        manifest = read_manifest(first / "proposed.manifest.txt")
+        assert manifest["dataset_checksum"] == blockstoch.io.dataset_checksum(svm_file)
+        assert manifest["test_dataset_checksum"] == blockstoch.io.dataset_checksum(test_file)
+        assert manifest["blockstoch_version"] == blockstoch.__version__
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+        argv = shlex.split(manifest["command"])
+        assert argv[0] == "blockstoch" and argv.count("--outdir") == 1
+        argv[argv.index("--outdir") + 1] = str(second)
+        assert run_cli(*argv[1:]) == 0
+        assert ((first / "proposed.trace.csv").read_bytes()
+                == (second / "proposed.trace.csv").read_bytes())
+        replayed = read_manifest(second / "proposed.manifest.txt")
+        timings = ("command", "cpu_seconds", "wall_seconds")
+        assert ({k: v for k, v in replayed.items() if k not in timings}
+                == {k: v for k, v in manifest.items() if k not in timings})
+        # A rewritten test file is a different run input, and the manifest says so.
+        test_file.write_text(test_file.read_text().replace("+1 ", "-1 ", 1))
+        argv[argv.index("--outdir") + 1] = str(third)
+        assert run_cli(*argv[1:]) == 0
+        rewritten = read_manifest(third / "proposed.manifest.txt")
+        assert rewritten["test_dataset_checksum"] != manifest["test_dataset_checksum"]
+        assert rewritten["dataset_checksum"] == manifest["dataset_checksum"]
 
     def test_pegasos_rejects_synthetic(self, tmp_path, capsys):
         outdir = tmp_path / "r"

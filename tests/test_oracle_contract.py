@@ -1,12 +1,13 @@
-"""The SVM oracle contract that a wrapping tracer relies on.
+"""The oracle contract that a wrapping tracer relies on.
 
-A tracer such as ``perfbench/harness.traced`` hands out SVM instances
-rebuilt with ``dataclasses.replace(instance, batch_grad=wrapper)``, and its
-wrapper reads ``block_ranges[l]`` and the batch's rows on every
-``batch_grad(batch, x, l)`` call.  These tests wrap the oracle the same way,
-without importing the tracer, and check that the library methods and
-``blockstoch compare`` call it once per block per iteration, with ``l`` a
-Python int that names a block.
+A tracer such as ``perfbench/harness.traced`` hands out SVM and quadratic
+instances rebuilt with ``dataclasses.replace(instance, batch_grad=wrapper)``.
+On every ``batch_grad(batch, x, l)`` call its SVM wrapper reads
+``block_ranges[l]`` and the batch's rows, and its quadratic wrapper reads
+the block's dimension and ``len(batch)``.  These tests wrap the oracle the
+same way, without importing the tracer, and check that the library methods
+and ``blockstoch compare`` call it once per block per iteration, with ``l``
+a Python int that names a block.
 """
 
 import dataclasses
@@ -15,7 +16,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockstoch import RunConfig, SvmProblem, cli, run, run_adam, run_averaged_sca
+from blockstoch import (Box, L2Ball, RunConfig, SvmProblem, cli, make_quadratic, run, run_adam,
+                        run_averaged_sca)
 from blockstoch.io import load_libsvm
 
 ITERS = 40
@@ -60,9 +62,12 @@ def sparse_file(tmp_path):
     return path
 
 
+LIBRARY_METHODS = pytest.mark.parametrize("method", [run, run_adam, run_averaged_sca],
+                                          ids=["proposed", "adam", "avg-sca"])
+
+
 @pytest.mark.parametrize("n_blocks", [1, 4, 12])
-@pytest.mark.parametrize("method", [run, run_adam, run_averaged_sca],
-                         ids=["proposed", "adam", "avg-sca"])
+@LIBRARY_METHODS
 def test_library_methods_call_each_block_once_per_iteration(sparse_file, method, n_blocks):
     calls = Counter()
     problem = wrapping_class(calls).with_blocks(load_libsvm(sparse_file), 1e-2, n_blocks)
@@ -81,3 +86,28 @@ def test_cli_compare_calls_each_block_once_per_iteration(sparse_file, tmp_path, 
     # proposed, adam and avg-sca read the oracle; pegasos reads its batch's rows
     # through problems.hinge_pass, not through batch_grad.
     assert calls == {l: 3 * ITERS for l in range(4)}
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+@LIBRARY_METHODS
+def test_quadratic_blocks_are_called_once_per_iteration(method, batch_size):
+    # harness.quad_grad_bytes charges a call 8 * dim_l * (2 + len(batch)) bytes.
+    quad = make_quadratic(6, target=np.linspace(-2.0, 2.0, 6), n_blocks=2,
+                          feasible_sets=[Box(-np.ones(3), np.ones(3)),
+                                         L2Ball(np.zeros(3), 0.8)])
+    inst = quad.instance()
+    dims = [b.dim for b in quad.blocks]
+    calls = Counter()
+
+    def batch_grad(batch, x, l):
+        assert type(l) is int and 0 <= l < len(dims), l
+        assert len(batch) == batch_size, np.shape(batch)
+        calls[l] += 1
+        g = inst.batch_grad(batch, x, l)
+        assert g.shape == (dims[l],)
+        return g
+
+    config = RunConfig(batch_size=batch_size, max_iters=ITERS, eval_every=10, seed=2)
+    _, trace = method(dataclasses.replace(inst, batch_grad=batch_grad), config)
+    assert trace[-1].k == ITERS
+    assert calls == {0: ITERS, 1: ITERS}

@@ -627,21 +627,29 @@ class TestQuadratic:
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("size", [1, 4])
-    def test_oracles_are_pure_and_the_textbook_form(self, size):
+    @pytest.mark.parametrize("sigma, curvature", [(1.0, None), (0.5, np.linspace(0.5, 3.0, 7))],
+                             ids=["unit", "scaled"])
+    def test_oracles_are_pure_and_the_textbook_form(self, size, sigma, curvature):
         # objective, gradient and batch_grad work in the one array they make:
         # x and the batch keep their bytes (read-only inputs too), results
-        # share memory with neither, and the bits are the plain expressions'.
-        quad = make_quadratic(7, target=np.linspace(-1.0, 2.0, 7), n_blocks=2,
-                              curvature=np.linspace(0.5, 3.0, 7))
+        # share memory with neither, and the bits are the plain expressions',
+        # whether or not the oracles skip their passes by 1 (sigma 1, B 1,
+        # unit curvature).
+        quad = make_quadratic(7, noise_stddev=sigma, target=np.linspace(-1.0, 2.0, 7),
+                              n_blocks=2, curvature=curvature)
         inst = quad.instance()
         rng = np.random.default_rng(size)
         x, batch = rng.standard_normal(7), inst.sample_batch(rng, size)
+        c, mu = quad.curvature, quad.target
+        twin = np.random.default_rng(size)
+        twin.standard_normal(7)  # x's draws
+        expected_batch = twin.standard_normal((size, 7)) * sigma + mu
+        assert batch.tobytes() == expected_batch.tobytes()
         x.flags.writeable = batch.flags.writeable = False
         before = (x.tobytes(), batch.tobytes())
-        c, mu = quad.curvature, quad.target
         offsets = x - mu
         assert quad.objective(x) == 0.5 * float(np.einsum("i,i->", c, offsets * offsets)) \
-            + 0.5 * float(c.sum())
+            + 0.5 * sigma ** 2 * float(c.sum())
         grad = quad.gradient(x)
         assert grad.tobytes() == (c * (x - mu)).tobytes()
         outs = [grad]
